@@ -62,8 +62,12 @@ int main(int argc, char** argv) {
     const double rho = spearman(a, p);
     rhos.push_back(rho);
     auto rng_of = [](const std::vector<double>& v) {
-      return "[" + eval::fmt(*std::min_element(v.begin(), v.end()), 2) +
-             ", " + eval::fmt(*std::max_element(v.begin(), v.end()), 2) + "]";
+      std::string out = "[";
+      out += eval::fmt(*std::min_element(v.begin(), v.end()), 2);
+      out += ", ";
+      out += eval::fmt(*std::max_element(v.begin(), v.end()), 2);
+      out += "]";
+      return out;
     };
     t.add_row({wl.name(), eval::fmt(rho, 3), rng_of(a), rng_of(p)});
     std::printf("  %-18s rho=%.3f\n", wl.name().c_str(), rho);

@@ -18,7 +18,8 @@ std::vector<double> least_squares(const std::vector<std::vector<double>>& a,
     if (row.size() != k) throw std::invalid_argument("least_squares: ragged A");
   }
   // Normal equations: (A^T A + lambda I) w = A^T b.
-  std::vector<std::vector<double>> m(k, std::vector<double>(k + 1, 0.0));
+  std::vector<std::vector<double>> m(k);
+  for (auto& row : m) row.assign(k + 1, 0.0);
   for (size_t i = 0; i < k; ++i) {
     for (size_t j = 0; j < k; ++j) {
       double s = 0.0;

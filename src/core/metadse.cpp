@@ -42,6 +42,13 @@ std::vector<float> AdaptedPredictor::predict_batch(
   return out;
 }
 
+AdaptedPredictor AdaptedPredictor::clone() const {
+  AdaptedPredictor out;
+  out.model = model->clone();
+  out.scaler = scaler;
+  return out;
+}
+
 MetaDseFramework::MetaDseFramework(FrameworkOptions options)
     : options_(options),
       space_(&arch::DesignSpace::table1()),

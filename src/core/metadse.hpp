@@ -72,6 +72,12 @@ struct AdaptedPredictor {
   /// Element i is bitwise identical to predict(rows[i]).
   std::vector<float> predict_batch(
       const std::vector<std::vector<float>>& rows) const;
+
+  /// Deep copy: the model's parameters, per-layer masks and int8
+  /// calibration table plus the scaler. The copy owns a fresh (lazily
+  /// built) predict planner, so it predicts bitwise-identically to this
+  /// predictor without ever touching this predictor's planner.
+  AdaptedPredictor clone() const;
 };
 
 /// Evaluates the quantization error contract for @p predictor at

@@ -88,10 +88,14 @@ class TransformerRegressor : public Module {
   /// Enables attention capture on the final encoder layer.
   void set_capture_attention(bool on);
 
-  /// Deep copy: same architecture, copied parameter values; an installed
-  /// mask on the last layer is copied by value (as a plain constant). The
-  /// quantization calibration table (if any) is copied too.
+  /// Deep copy: same architecture, copied parameter values; the mask
+  /// installed on any encoder layer is copied by value (as a plain
+  /// constant). The quantization calibration table (if any) is copied too.
+  /// The predict planner is not: the copy builds its own on first predict.
   std::unique_ptr<TransformerRegressor> clone() const;
+
+  /// True once predict_one/predict_batch has built this model's planner.
+  bool has_predict_planner() const { return planner_ != nullptr; }
 
   /// Per-gemm activation absmax table for int8 serving, in compiled-plan
   /// schedule order (see tensor/plan.hpp quant_gemms()). Captured from the

@@ -70,9 +70,9 @@ class ServerCore {
   }
 
   /// Rebuilds one condemned replica so the supervisor can readmit it
-  /// (typically MetaDseSessionEngine::rebuild_replica: re-adapt every
-  /// workload on the slot — warm, checkpoint-free, one adapt_to per
-  /// workload). Returns false (or throws) to report the rebuild failed,
+  /// (typically MetaDseSessionEngine::rebuild_replica: re-clone every
+  /// workload's adapted prototype onto the slot — no adaptation, no
+  /// checkpoint reload). Returns false (or throws) to report the rebuild failed,
   /// which quarantines the slot. Runs on the supervisor thread while the
   /// slot is out of dispatch, so it may mutate per-replica state freely.
   using ReplicaRebuilder = std::function<bool(size_t replica)>;

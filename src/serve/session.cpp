@@ -31,19 +31,21 @@ void MetaDseSessionEngine::add_workload(const std::string& name,
                                         const data::Dataset& support) {
   WorkloadEntry entry;
   entry.support = &support;
+  // The workload's one adaptation. Every serving copy is a deep clone of
+  // it: clones carry the same parameters, masks, calibration and scaler,
+  // so they predict bitwise-identically to a fresh adapt_to.
+  entry.prototype = framework_.adapt_to(support);
   entry.predictors.reserve(generators_.size());
   for (size_t r = 0; r < generators_.size(); ++r) {
-    // adapt_to is const and deterministic: every replica gets a
-    // bitwise-identical clone of the adapted model.
-    entry.predictors.push_back(framework_.adapt_to(support));
+    entry.predictors.push_back(entry.prototype.clone());
   }
   if (options_.coalesce) {
-    // One more identical clone, reserved for fused cross-session batches.
-    // Any clone produces the same bits for any row, so which model answers
-    // a prediction — and what else rides in its batch — cannot change a
+    // One more clone, reserved for fused cross-session batches. Any clone
+    // produces the same bits for any row, so which model answers a
+    // prediction — and what else rides in its batch — cannot change a
     // session's values.
-    entry.fused_predictor = std::make_unique<core::AdaptedPredictor>(
-        framework_.adapt_to(support));
+    entry.fused_predictor =
+        std::make_unique<core::AdaptedPredictor>(entry.prototype.clone());
     entry.coalescer = std::make_unique<BatchCoalescer>(
         *options_.coalesce,
         [model = entry.fused_predictor.get()](const BatchCoalescer::Rows&
@@ -65,7 +67,7 @@ void MetaDseSessionEngine::rebuild_replica(size_t replica) {
   }
   generators_[replica] = data::DatasetGenerator(framework_.space());
   for (auto& [name, entry] : workloads_) {
-    entry.predictors[replica] = framework_.adapt_to(*entry.support);
+    entry.predictors[replica] = entry.prototype.clone();
   }
 }
 
@@ -233,7 +235,7 @@ const std::vector<float>& MetaDseSessionEngine::workload_calibration(
     throw std::runtime_error("workload_calibration: workload \"" + name +
                              "\" is not registered with the session engine");
   }
-  return it->second.predictors.front().model->quant_calibration();
+  return it->second.prototype.model->quant_calibration();
 }
 
 PlanExecStats MetaDseSessionEngine::plan_stats() const {

@@ -1,7 +1,7 @@
 // MetaDseSessionEngine: binds ServerCore's generic SessionExecutor contract
-// to the real pipeline. Each registered workload is adapted once per replica
-// (adapt_to is deterministic, so the replicas are identical clones — the
-// replicated-instance pattern), each replica gets its own DatasetGenerator,
+// to the real pipeline. Each registered workload is adapted once; every
+// replica gets its own deep clone of that adaptation (the replicated-instance
+// pattern: own weights, own predict planner) and its own DatasetGenerator,
 // and each session runs the journaled guarded DSE loop through the
 // framework's re-entrant run_dse overload. A finished session publishes its
 // Pareto front atomically to "<front_dir>/front_<id>.txt" (hexfloat, so a
@@ -30,8 +30,8 @@ class MetaDseSessionEngine {
     /// Directory for published fronts; empty disables publication.
     std::string front_dir;
     /// Cross-session batch coalescing: when set, every workload gets a
-    /// BatchCoalescer backed by a dedicated (bitwise-identical) predictor
-    /// clone, and sessions route their surrogate-IPC predictions through it
+    /// BatchCoalescer backed by one more clone of its adapted predictor,
+    /// and sessions route their surrogate-IPC predictions through it
     /// (DseOptions::predict_rows) instead of their replica's predictor.
     /// Values — and therefore fronts and journals — are unchanged; only the
     /// GEMM granularity is (see DESIGN.md §12). nullopt = per-session
@@ -43,17 +43,17 @@ class MetaDseSessionEngine {
   MetaDseSessionEngine(const core::MetaDseFramework& framework,
                        size_t replicas, Options options);
 
-  /// Adapts @p support for every replica and registers the workload. Not
+  /// Adapts @p support once, gives every replica (and the coalescer, if
+  /// any) a clone of the result and registers the workload. Not
   /// thread-safe; call before serving starts.
   void add_workload(const std::string& name, const data::Dataset& support);
 
-  /// Rebuilds one replica slot from scratch: a fresh simulator generator
-  /// and a fresh adapt_to clone of every registered workload (warm — the
-  /// pretrained model is shared, so the cost is one adaptation per
-  /// workload; no checkpoint reload). adapt_to is deterministic, so the
-  /// rebuilt replica is bitwise-identical to the original. Intended as the
-  /// ServerCore replica rebuilder; must only run while the slot is out of
-  /// dispatch (the supervisor guarantees this).
+  /// Rebuilds one replica slot: a fresh simulator generator and a fresh
+  /// clone of every registered workload's adapted prototype (no adaptation,
+  /// no checkpoint reload). The rebuilt replica is bitwise-identical to the
+  /// original. Intended as the ServerCore replica rebuilder; must only run
+  /// while the slot is out of dispatch (the supervisor guarantees this).
+  /// Throws std::out_of_range for a slot the engine does not have.
   void rebuild_replica(size_t replica);
 
   /// The bound executor (captures `this`; the engine must outlive the
@@ -78,20 +78,23 @@ class MetaDseSessionEngine {
   PlanExecStats plan_stats() const;
 
   /// The int8 activation-calibration table captured when @p name was
-  /// adapted (replica 0's — all replicas are bitwise-identical clones, so
-  /// the tables match). Empty when no calibration was captured. Not
-  /// thread-safe against add_workload; throws if @p name is unregistered.
+  /// adapted (the prototype's; every replica's clone carries a copy).
+  /// Empty when no calibration was captured. Not thread-safe against
+  /// add_workload; throws if @p name is unregistered.
   const std::vector<float>& workload_calibration(const std::string& name)
       const;
 
  private:
   struct WorkloadEntry {
     const data::Dataset* support;
-    /// One adapted predictor per replica, all bitwise-identical.
+    /// The workload's one adapt_to result. Never predicted on (its planner
+    /// is never built); it only seeds the clones below and rebuilds.
+    core::AdaptedPredictor prototype;
+    /// One clone of the prototype per replica.
     std::vector<core::AdaptedPredictor> predictors;
-    /// Coalescing only: one more identical clone, owned by the coalescer's
-    /// fused executor so cross-session batches never contend with a
-    /// replica's own (uncoalesced) predictor use.
+    /// Coalescing only: one more clone, owned by the coalescer's fused
+    /// executor so cross-session batches never contend with a replica's
+    /// own (uncoalesced) predictor use.
     std::unique_ptr<core::AdaptedPredictor> fused_predictor;
     std::unique_ptr<BatchCoalescer> coalescer;
   };

@@ -720,7 +720,7 @@ Tensor softmax_lastdim(const Tensor& a) {
   for (size_t r = 0; r < rows; ++r) {
     kern::softmax_row(an->value.data() + r * L, out.data() + r * L, L);
   }
-  Tensor r = make_op_result(
+  Tensor res = make_op_result(
       an->shape, std::move(out), {an}, [an, L, rows](Node& self) {
         if (!an->requires_grad) return;
         an->ensure_grad();
@@ -733,8 +733,8 @@ Tensor softmax_lastdim(const Tensor& a) {
           for (size_t i = 0; i < L; ++i) dx[i] += y[i] * (g[i] - dot);
         }
       });
-  plan::trace_softmax(r, a);
-  return r;
+  plan::trace_softmax(res, a);
+  return res;
 }
 
 Tensor layer_norm_lastdim(const Tensor& a, float eps) {
@@ -759,7 +759,7 @@ Tensor layer_norm_lastdim(const Tensor& a, float eps) {
   // The stash's heap buffer survives the PooledVec move below, so the traced
   // pointer stays valid for the training-plan replay to refresh in place.
   float* ivp = rec ? inv_std.data() : nullptr;
-  Tensor r = make_op_result(
+  Tensor res = make_op_result(
       an->shape, std::move(out), {an},
       [an, L, rows, inv_std = PooledVec(std::move(inv_std))](Node& self) {
         if (!an->requires_grad) return;
@@ -782,8 +782,8 @@ Tensor layer_norm_lastdim(const Tensor& a, float eps) {
           }
         }
       });
-  plan::trace_layer_norm(r, a, eps, ivp);
-  return r;
+  plan::trace_layer_norm(res, a, eps, ivp);
+  return res;
 }
 
 // The fused kernels below replace the hot op chains of the transformer
@@ -827,7 +827,7 @@ Tensor layer_norm_affine(const Tensor& x, const Tensor& gamma,
   }
   float* np = rec ? normed.data() : nullptr;
   float* ivp = rec ? inv_std.data() : nullptr;
-  Tensor r = make_op_result(
+  Tensor res = make_op_result(
       an->shape, std::move(out), {an, gn, bn},
       [an, gn, bn, L, rows, normed = PooledVec(std::move(normed)),
        inv_std = PooledVec(std::move(inv_std))](Node& self) {
@@ -866,8 +866,8 @@ Tensor layer_norm_affine(const Tensor& x, const Tensor& gamma,
           }
         }
       });
-  plan::trace_layer_norm_affine(r, x, gamma, beta, eps, np, ivp);
-  return r;
+  plan::trace_layer_norm_affine(res, x, gamma, beta, eps, np, ivp);
+  return res;
 }
 
 Tensor softmax_masked_lastdim(const Tensor& scores, const Tensor& mask,

@@ -6,10 +6,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "core/metadse.hpp"
 #include "explore/guarded.hpp"
 #include "explore/run_report.hpp"
+#include "nn/plan.hpp"
 #include "sim/fault_injection.hpp"
 
 namespace core = metadse::core;
@@ -157,6 +159,63 @@ TEST(Framework, WamOffMatchesPlainAdaptation) {
     any_diff = any_diff || with[i].rmse != without[i].rmse;
   }
   EXPECT_TRUE(any_diff);
+}
+
+namespace {
+
+bool same_bytes(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+}  // namespace
+
+TEST(Framework, AdaptedPredictorCloneMatchesAFreshAdaptation) {
+  auto& fw = shared_framework();
+  const auto& ds = fw.dataset("605.mcf_s");
+  data::Dataset support;
+  support.workload = ds.workload;
+  for (size_t i = 0; i < 10; ++i) support.samples.push_back(ds.samples[i]);
+
+  metadse::nn::plan::PlanModeGuard planned(true);
+  const auto prototype = fw.adapt_to(support);
+  const auto clone = prototype.clone();
+  const auto fresh = fw.adapt_to(support);
+  ASSERT_NE(clone.model.get(), prototype.model.get());
+
+  // Same state, byte for byte: parameters, every layer's WAM mask, the
+  // scaler and the int8 calibration table.
+  EXPECT_TRUE(same_bytes(clone.model->flatten_parameters(),
+                         fresh.model->flatten_parameters()));
+  ASSERT_EQ(clone.model->layer_count(), fresh.model->layer_count());
+  for (size_t i = 0; i < fresh.model->layer_count(); ++i) {
+    const auto& want = fresh.model->attention_layer(i);
+    const auto& got = clone.model->attention_layer(i);
+    ASSERT_EQ(got.has_mask(), want.has_mask()) << "layer " << i;
+    if (want.has_mask()) {
+      EXPECT_TRUE(same_bytes(got.mask().data(), want.mask().data()))
+          << "layer " << i;
+    }
+  }
+  EXPECT_TRUE(same_bytes(clone.scaler.mean(), fresh.scaler.mean()));
+  EXPECT_TRUE(same_bytes(clone.scaler.stddev(), fresh.scaler.stddev()));
+  EXPECT_FALSE(fresh.model->quant_calibration().empty());
+  EXPECT_TRUE(same_bytes(clone.model->quant_calibration(),
+                         fresh.model->quant_calibration()));
+
+  // Same predictions, bitwise, at every serving batch width — and the
+  // clone plans on its own: the prototype's planner is never built.
+  for (size_t batch : {1U, 16U, 64U}) {
+    std::vector<std::vector<float>> rows;
+    for (size_t i = 0; i < batch; ++i) {
+      rows.push_back(ds.samples[20 + i].features);
+    }
+    EXPECT_TRUE(same_bytes(clone.predict_batch(rows),
+                           fresh.predict_batch(rows)))
+        << "batch " << batch;
+  }
+  EXPECT_TRUE(clone.model->has_predict_planner());
+  EXPECT_FALSE(prototype.model->has_predict_planner());
 }
 
 // -- run_dse: guarded, journaled exploration ----------------------------------

@@ -7,7 +7,10 @@
 //
 // Executors here are synthetic (the bench's sleeper pattern): they poll the
 // same cooperative-cancellation hooks as the real DSE loop, so the tests
-// exercise ServerCore's control plane without touching the simulator.
+// exercise ServerCore's control plane without touching the simulator. The
+// ServeEngine suite at the end is the exception: it drives the real
+// MetaDseSessionEngine (one adaptation per workload, one clone per replica,
+// rebuild = re-clone) against a fresh-adaptation reference.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -26,11 +29,14 @@
 
 #include "core/chaos.hpp"
 #include "core/io.hpp"
+#include "core/metadse.hpp"
+#include "core/parallel.hpp"
 #include "explore/explorer.hpp"
 #include "explore/guarded.hpp"
 #include "serve/coalesce.hpp"
 #include "serve/replica.hpp"
 #include "serve/server.hpp"
+#include "serve/session.hpp"
 
 namespace ex = metadse::explore;
 namespace serve = metadse::serve;
@@ -999,4 +1005,119 @@ TEST(ServeChaosSoak, ScopedPlanLeavesOutOfScopeSessionsBitwiseUntouched) {
 
   fs::remove_all(dir_control);
   fs::remove_all(dir_chaos);
+}
+
+// -- the session engine: one adaptation per workload, one clone per replica -
+
+namespace {
+
+namespace core = metadse::core;
+
+constexpr const char* kEngineWorkload = "605.mcf_s";
+constexpr size_t kEngineReplicas = 3;
+
+core::MetaDseFramework& engine_framework() {
+  static core::MetaDseFramework* fw = [] {
+    core::FrameworkOptions o;
+    o.samples_per_workload = 200;
+    o.maml.epochs = 2;
+    o.maml.tasks_per_workload = 6;
+    o.maml.val_tasks_per_workload = 2;
+    o.maml.seed = 3;
+    o.seed = 17;
+    auto* f = new core::MetaDseFramework(o);
+    f->pretrain();
+    return f;
+  }();
+  return *fw;
+}
+
+core::MetaDseFramework::DseOptions engine_dse() {
+  core::MetaDseFramework::DseOptions dse;
+  dse.explorer = {.initial_samples = 8, .iterations = 16,
+                  .mutations_per_step = 2, .seed = 13, .eval_batch = 4};
+  dse.guard.ipc_min = -128.0;  // a tiny surrogate may dip below zero
+  return dse;
+}
+
+/// What a session with @p seed must publish: a fresh adaptation explored on
+/// a fresh generator, with no engine involved.
+std::string reference_front(const core::MetaDseFramework& fw,
+                            const metadse::data::Dataset& support,
+                            uint64_t seed) {
+  auto dse = engine_dse();
+  dse.explorer.seed = seed;
+  metadse::data::DatasetGenerator generator(fw.space());
+  ex::RunReport report;
+  const auto archive = fw.run_dse(fw.adapt_to(support), support,
+                                  kEngineWorkload, dse, generator, report);
+  return serve::MetaDseSessionEngine::format_front(fw.space(), archive);
+}
+
+/// Serves session @p id on @p replica (seed 100 + replica) the way a
+/// ServerCore worker does, and returns its published front.
+std::string serve_on(serve::MetaDseSessionEngine& engine, size_t replica,
+                     uint64_t id) {
+  core::SerialRegionGuard serial;
+  serve::SessionRequest request;
+  request.id = id;
+  request.workload = kEngineWorkload;
+  request.seed = 100 + replica;
+  serve::ExecContext ctx;
+  ctx.replica = replica;
+  ctx.budget = std::make_shared<ex::DeadlineBudget>(0);  // unlimited
+  engine.executor()(request, ctx);
+  return slurp_file(engine.front_path(id));
+}
+
+}  // namespace
+
+TEST(ServeEngine, ReplicaFrontsMatchAFreshAdaptationBeforeAndAfterRebuild) {
+  auto& fw = engine_framework();
+  const auto& ds = fw.dataset(kEngineWorkload);
+  metadse::data::Dataset support;
+  support.workload = kEngineWorkload;
+  for (size_t i = 0; i < 8; ++i) support.samples.push_back(ds.samples[i]);
+
+  std::vector<std::string> want;
+  for (size_t r = 0; r < kEngineReplicas; ++r) {
+    want.push_back(reference_front(fw, support, 100 + r));
+  }
+
+  const std::string dir = ::testing::TempDir() + "serve_engine_rebuild";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  serve::MetaDseSessionEngine::Options opts;
+  opts.dse = engine_dse();
+  opts.front_dir = dir;
+  serve::MetaDseSessionEngine engine(fw, kEngineReplicas, opts);
+  engine.add_workload(kEngineWorkload, support);
+
+  // One concurrent session per replica.
+  std::vector<std::string> got(kEngineReplicas);
+  std::vector<std::thread> threads;
+  for (size_t r = 0; r < kEngineReplicas; ++r) {
+    threads.emplace_back([&, r] { got[r] = serve_on(engine, r, r); });
+  }
+  for (auto& t : threads) t.join();
+  threads.clear();
+  for (size_t r = 0; r < kEngineReplicas; ++r) {
+    EXPECT_EQ(got[r], want[r]) << "replica " << r;
+  }
+
+  // Rebuild replica 1 while its neighbours serve, then serve on it again.
+  for (size_t r : {0U, 2U}) {
+    threads.emplace_back([&, r] {
+      got[r] = serve_on(engine, r, kEngineReplicas + r);
+    });
+  }
+  engine.rebuild_replica(1);
+  for (auto& t : threads) t.join();
+  got[1] = serve_on(engine, 1, kEngineReplicas + 1);
+  for (size_t r = 0; r < kEngineReplicas; ++r) {
+    EXPECT_EQ(got[r], want[r]) << "replica " << r << " after the rebuild";
+  }
+
+  EXPECT_THROW(engine.rebuild_replica(kEngineReplicas), std::out_of_range);
+  fs::remove_all(dir);
 }

@@ -620,9 +620,9 @@ int cmd_serve(const Args& args) {
                  orphans, journal_dir.c_str());
   }
   {
-    std::string ckpt_dir =
+    const std::string parent =
         std::filesystem::path(args.str("ckpt")).parent_path().string();
-    if (ckpt_dir.empty()) ckpt_dir = ".";
+    const std::string ckpt_dir = parent.empty() ? std::string(".") : parent;
     if (!std::filesystem::equivalent(std::filesystem::path(ckpt_dir),
                                      std::filesystem::path(journal_dir))) {
       const size_t ckpt_orphans = core::io::remove_orphan_tmp_files(ckpt_dir);
@@ -718,7 +718,7 @@ int cmd_serve(const Args& args) {
   }
 
   // Support sets are simulated once per workload (clean generator, fixed
-  // order) and each workload is adapted once per replica.
+  // order); each workload is adapted once and cloned into every replica.
   serve::MetaDseSessionEngine engine(fw, sopts.replicas, eopts);
   const uint64_t seed = static_cast<uint64_t>(args.num("seed", 2025));
   tensor::Rng rng(seed);
@@ -754,8 +754,8 @@ int cmd_serve(const Args& args) {
     server.set_coalesce_stats([&engine] { return engine.coalesce_stats(); });
   }
   server.set_plan_stats([&engine] { return engine.plan_stats(); });
-  // Self-healing: a condemned replica is rebuilt warm (one adapt_to per
-  // workload off the shared pretrained model) before rejoining dispatch.
+  // Self-healing: a condemned replica is rebuilt (every workload re-cloned
+  // from its adapted prototype) before rejoining dispatch.
   server.set_replica_rebuilder([&engine](size_t replica) {
     engine.rebuild_replica(replica);
     return true;
