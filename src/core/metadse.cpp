@@ -589,7 +589,7 @@ explore::ParetoArchive MetaDseFramework::run_dse(
   // through the caller's generator, so an armed fault plan (and its
   // attempt-indexed draws) exercises the retry/breaker machinery exactly as
   // a flaky label farm would. The IPC leg goes through dse_options.
-  // predict_rows when set (the serving layer's cross-session coalescer);
+  // predict_rows when set (a caller's wrapper around the same predictor);
   // since any valid predict_rows is pointwise bitwise-equal to the local
   // predictor, the two paths produce identical archives.
   explore::AttemptEvaluator primary =

@@ -193,10 +193,13 @@ class MetaDseFramework {
     std::shared_ptr<explore::DeadlineBudget> budget = {};
     /// Overrides the surrogate-IPC leg of the primary evaluator: given the
     /// normalized feature rows of a candidate batch, returns one IPC per
-    /// row, in order. The serving layer points this at a cross-session
-    /// BatchCoalescer; any implementation must be pointwise bitwise-equal to
-    /// predictor.predict_batch(rows) or DSE results change. The simulated
-    /// power leg stays on the session's own generator either way.
+    /// row, in order. Lets a caller observe or time the surrogate's
+    /// forwards without owning the loop; any implementation must be
+    /// pointwise bitwise-equal to predictor.predict_batch(rows) or DSE
+    /// results change. A batched call whose result has the wrong row count
+    /// fails like a simulator error and the guard retries its points one
+    /// at a time. The simulated power leg stays on the session's own
+    /// generator either way.
     /// explore::ExplorationAborted thrown from here aborts the run (the
     /// journal preserves progress); other exceptions are contained by the
     /// guard as ordinary evaluation failures.

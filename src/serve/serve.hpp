@@ -151,10 +151,6 @@ struct ServerStats {
   /// sessions. cancelled_points > 0 implies degraded > 0: a session whose
   /// batch was cancelled mid-flight was not served at full quality.
   size_t cancelled_points = 0;
-  /// Fused cross-session predict calls / points answered by them, pulled
-  /// from the session engine's BatchCoalescers (0 when coalescing is off).
-  size_t coalesced_batches = 0;
-  size_t coalesced_points = 0;
   /// Static-execution-plan accounting, pulled from the process-wide plan
   /// registry (all zeros when no plan-stats source is installed). Replicas
   /// share compiled programs, so plans_compiled stays flat as replicas
@@ -171,9 +167,9 @@ struct ServerStats {
   size_t quant_fallbacks = 0;
 };
 
-/// Snapshot of the plan registry's counters in serve-layer terms (the
-/// CoalesceStats pattern: the engine adapts the registry's struct so
-/// ServerCore needs no nn dependency).
+/// Snapshot of the plan registry's counters in serve-layer terms: the
+/// engine adapts the registry's struct so ServerCore needs no nn
+/// dependency.
 struct PlanExecStats {
   size_t plans_compiled = 0;
   size_t cache_hits = 0;

@@ -402,11 +402,6 @@ ServerStats ServerCore::stats() const {
   s.replicas_quarantined =
       replicas_quarantined_.load(std::memory_order_relaxed);
   s.replicas_pending_rebuild = pool_.pending_rebuilds();
-  if (coalesce_source_) {
-    const CoalesceStats c = coalesce_source_();
-    s.coalesced_batches = c.coalesced_batches;
-    s.coalesced_points = c.coalesced_points;
-  }
   if (plan_source_) {
     const PlanExecStats p = plan_source_();
     s.plans_compiled = p.plans_compiled;

@@ -19,7 +19,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/coalesce.hpp"
 #include "serve/replica.hpp"
 #include "serve/serve.hpp"
 
@@ -54,13 +53,6 @@ class ServerCore {
   ServerStats stats() const;
   size_t queue_depth() const;
   const ServeOptions& options() const { return options_; }
-
-  /// Installs the source of coalescing counters surfaced by stats()
-  /// (typically MetaDseSessionEngine::coalesce_stats). Call before serving
-  /// starts; not thread-safe against concurrent stats().
-  void set_coalesce_stats(std::function<CoalesceStats()> source) {
-    coalesce_source_ = std::move(source);
-  }
 
   /// Installs the source of static-execution-plan counters surfaced by
   /// stats() (typically MetaDseSessionEngine::plan_stats). Call before
@@ -142,7 +134,6 @@ class ServerCore {
   std::atomic<size_t> replicas_rebuilt_{0};
   std::atomic<size_t> replicas_quarantined_{0};
 
-  std::function<CoalesceStats()> coalesce_source_;
   std::function<PlanExecStats()> plan_source_;
   ReplicaRebuilder rebuilder_;
   /// Recent rebuild completion times per slot (supervisor thread only) —

@@ -1,6 +1,5 @@
 #include "serve/session.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <stdexcept>
@@ -9,7 +8,6 @@
 
 #include "core/chaos.hpp"
 #include "core/io.hpp"
-#include "core/parallel.hpp"
 #include "nn/plan.hpp"
 
 namespace metadse::serve {
@@ -38,25 +36,6 @@ void MetaDseSessionEngine::add_workload(const std::string& name,
   entry.predictors.reserve(generators_.size());
   for (size_t r = 0; r < generators_.size(); ++r) {
     entry.predictors.push_back(entry.prototype.clone());
-  }
-  if (options_.coalesce) {
-    // One more clone, reserved for fused cross-session batches. Any clone
-    // produces the same bits for any row, so which model answers a
-    // prediction — and what else rides in its batch — cannot change a
-    // session's values.
-    entry.fused_predictor =
-        std::make_unique<core::AdaptedPredictor>(entry.prototype.clone());
-    entry.coalescer = std::make_unique<BatchCoalescer>(
-        *options_.coalesce,
-        [model = entry.fused_predictor.get()](const BatchCoalescer::Rows&
-                                                  rows) {
-          // The flushing thread may be the ticker (no serial region yet) or
-          // a session worker (already serial): pin the fused forward to the
-          // inline schedule either way so its kernels match the
-          // uncoalesced per-session path bitwise.
-          core::SerialRegionGuard serial;
-          return model->predict_batch(rows);
-        });
   }
   workloads_[name] = std::move(entry);
 }
@@ -142,38 +121,6 @@ ExecResult MetaDseSessionEngine::run_session(const SessionRequest& request,
           "the watchdog; journal preserves progress)");
     }
   };
-  // The coalescer's fused predictor always answers at fp32 (its bitwise-
-  // equality contract with predict_batch is what makes cross-session
-  // batching safe); a reduced-precision session therefore serves its own
-  // forwards instead of riding fused batches.
-  if (it->second.coalescer &&
-      dse.precision == tensor::quant::Precision::kFp32) {
-    // Route the surrogate-IPC leg through the cross-session coalescer. The
-    // wait inside predict() is part of the evaluation attempt's wall-clock,
-    // so the guard's ChargeOnExit bills it to the session budget exactly
-    // like compute; a cancelled/exhausted budget (watchdog, shutdown,
-    // deadline) wakes the wait, drops the rows from the assembling batch
-    // and aborts the run — survivors' batches are unperturbed.
-    BatchCoalescer* coal = it->second.coalescer.get();
-    std::function<bool()> wake;
-    if (ctx.budget) {
-      wake = [budget = ctx.budget] {
-        return budget->cancelled() || budget->exhausted();
-      };
-    }
-    dse.predict_rows = [coal, id = request.id, wake = std::move(wake)](
-                           const std::vector<std::vector<float>>& rows) {
-      try {
-        return coal->predict(id, rows, wake);
-      } catch (const CoalesceCancelled&) {
-        throw explore::ExplorationAborted(
-            "exploration aborted: session budget cancelled or exhausted "
-            "while waiting in the cross-session coalescer (journal "
-            "preserves progress; resume with a fresh budget)");
-      }
-    };
-  }
-
   explore::RunReport report;
   const explore::ParetoArchive archive = framework_.run_dse(
       it->second.predictors[ctx.replica], *it->second.support,
@@ -205,27 +152,6 @@ ExecResult MetaDseSessionEngine::run_session(const SessionRequest& request,
     }
   }
   return out;
-}
-
-CoalesceStats MetaDseSessionEngine::coalesce_stats() const {
-  CoalesceStats total;
-  for (const auto& [name, entry] : workloads_) {
-    if (!entry.coalescer) continue;
-    const CoalesceStats s = entry.coalescer->stats();
-    total.submitted_requests += s.submitted_requests;
-    total.submitted_points += s.submitted_points;
-    total.coalesced_batches += s.coalesced_batches;
-    total.coalesced_points += s.coalesced_points;
-    total.cancelled_points += s.cancelled_points;
-    total.failed_points += s.failed_points;
-    total.failed_batches += s.failed_batches;
-    total.max_batch_points = std::max(total.max_batch_points,
-                                      s.max_batch_points);
-    total.flush_full += s.flush_full;
-    total.flush_tick += s.flush_tick;
-    total.flush_barrier += s.flush_barrier;
-  }
-  return total;
 }
 
 const std::vector<float>& MetaDseSessionEngine::workload_calibration(

@@ -9,13 +9,10 @@
 #pragma once
 
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/metadse.hpp"
-#include "serve/coalesce.hpp"
 #include "serve/serve.hpp"
 
 namespace metadse::serve {
@@ -29,23 +26,14 @@ class MetaDseSessionEngine {
     core::MetaDseFramework::DseOptions dse;
     /// Directory for published fronts; empty disables publication.
     std::string front_dir;
-    /// Cross-session batch coalescing: when set, every workload gets a
-    /// BatchCoalescer backed by one more clone of its adapted predictor,
-    /// and sessions route their surrogate-IPC predictions through it
-    /// (DseOptions::predict_rows) instead of their replica's predictor.
-    /// Values — and therefore fronts and journals — are unchanged; only the
-    /// GEMM granularity is (see DESIGN.md §12). nullopt = per-session
-    /// forwards, the PR 6 behaviour.
-    std::optional<CoalesceOptions> coalesce;
   };
 
   /// @p framework must outlive the engine and be pretrained (or loaded).
   MetaDseSessionEngine(const core::MetaDseFramework& framework,
                        size_t replicas, Options options);
 
-  /// Adapts @p support once, gives every replica (and the coalescer, if
-  /// any) a clone of the result and registers the workload. Not
-  /// thread-safe; call before serving starts.
+  /// Adapts @p support once, gives every replica a clone of the result and
+  /// registers the workload. Not thread-safe; call before serving starts.
   void add_workload(const std::string& name, const data::Dataset& support);
 
   /// Rebuilds one replica slot: a fresh simulator generator and a fresh
@@ -68,11 +56,6 @@ class MetaDseSessionEngine {
   static std::string format_front(const arch::DesignSpace& space,
                                   const explore::ParetoArchive& archive);
 
-  /// Coalescing accounting summed over every workload's coalescer (all
-  /// zeros when coalescing is disabled). Thread-safe.
-  CoalesceStats coalesce_stats() const;
-  bool coalescing() const { return options_.coalesce.has_value(); }
-
   /// Static-execution-plan counters from the process-wide plan registry
   /// (replicas share compiled programs through it). Thread-safe.
   PlanExecStats plan_stats() const;
@@ -92,11 +75,6 @@ class MetaDseSessionEngine {
     core::AdaptedPredictor prototype;
     /// One clone of the prototype per replica.
     std::vector<core::AdaptedPredictor> predictors;
-    /// Coalescing only: one more clone, owned by the coalescer's fused
-    /// executor so cross-session batches never contend with a replica's
-    /// own (uncoalesced) predictor use.
-    std::unique_ptr<core::AdaptedPredictor> fused_predictor;
-    std::unique_ptr<BatchCoalescer> coalescer;
   };
 
   ExecResult run_session(const SessionRequest& request,

@@ -770,7 +770,7 @@ size_t plan_memory(Build& b) {
   };
   auto release = [&](size_t off, size_t len) {
     len = align_up(len);
-    // insert sorted by offset, coalescing with neighbours
+    // insert sorted by offset, merging with neighbours
     size_t f = 0;
     while (f < free_list.size() && free_list[f].off < off) ++f;
     free_list.insert(free_list.begin() + static_cast<int>(f), {off, len});

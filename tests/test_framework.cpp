@@ -7,6 +7,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
+#include <tuple>
 
 #include "core/metadse.hpp"
 #include "explore/guarded.hpp"
@@ -370,4 +373,68 @@ TEST(RunDse, FailFastPolicyAbortsButJournalPreservesProgress) {
   expect_same_front(reference, resumed);
   std::remove(path.c_str());
   std::remove((path + ".snapshot").c_str());
+}
+
+TEST(RunDse, PredictRowsHookIsBitwiseTransparentAndRowCountChecked) {
+  auto& fw = shared_framework();
+  const auto support = small_support(fw, "605.mcf_s", 10);
+  const auto predictor = fw.adapt_to(support);
+  const std::string base = ::testing::TempDir() + "mdse_rundse_rows";
+  const auto journal_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << "missing " << path;
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  };
+  const auto run = [&](const std::string& path,
+                       decltype(small_dse().predict_rows) hook) {
+    std::remove(path.c_str());
+    std::remove((path + ".snapshot").c_str());
+    auto dse = small_dse(path);
+    dse.predict_rows = std::move(hook);
+    ex::RunReport report;
+    metadse::data::DatasetGenerator generator(fw.space());
+    auto front =
+        fw.run_dse(predictor, support, "605.mcf_s", dse, generator, report);
+    std::string bytes = journal_bytes(path);
+    std::remove(path.c_str());
+    std::remove((path + ".snapshot").c_str());
+    return std::tuple{std::move(front), std::move(bytes), report};
+  };
+
+  const auto [ref_front, ref_bytes, ref_rep] = run(base + "_ref.journal", {});
+  ASSERT_FALSE(ref_bytes.empty());
+
+  // A hook forwarding to the same predictor changes no bit of the front or
+  // the journal.
+  using Rows = std::vector<std::vector<float>>;
+  size_t calls = 0;
+  const auto forward = [&](const Rows& rows) {
+    ++calls;
+    return predictor.predict_batch(rows);
+  };
+  const auto [front, bytes, rep] = run(base + "_hook.journal", forward);
+  EXPECT_GT(calls, 0U);
+  expect_same_front(ref_front, front);
+  EXPECT_EQ(bytes, ref_bytes);
+  EXPECT_EQ(rep.evaluated, ref_rep.evaluated);
+  EXPECT_FALSE(rep.degraded());
+
+  // A hook that answers one row short is an evaluation failure, never an
+  // out-of-bounds read: the surrogate rung answers nothing and the forest
+  // baseline carries the run.
+  const auto one_short = [&](const Rows& rows) {
+    auto values = predictor.predict_batch(rows);
+    values.pop_back();
+    return values;
+  };
+  const auto [short_front, short_bytes, short_rep] =
+      run(base + "_short.journal", one_short);
+  EXPECT_GT(short_rep.failures, 0U);
+  EXPECT_EQ(short_rep.evaluated, 0U);
+  EXPECT_TRUE(short_rep.degraded());
+  EXPECT_EQ(short_rep.final_level, ex::DegradeLevel::kBaseline);
+  EXPECT_EQ(short_rep.baseline_evals + short_rep.dropped(), 24U);
+  EXPECT_GT(short_front.size(), 0U);
 }

@@ -685,7 +685,8 @@ namespace {
 constexpr size_t kQuantSessions = 2;
 
 /// Runs kQuantSessions engine sessions at @p precision and returns the
-/// concatenated front + journal bytes (the coalesce test's discipline).
+/// concatenated front + journal bytes (the ServeEngine thread-invariance
+/// test's discipline).
 std::string run_quant_sessions(core::MetaDseFramework& fw,
                                const data::Dataset& support,
                                q::Precision precision, size_t session_threads,

@@ -14,13 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <bit>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <future>
 #include <map>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -33,7 +31,6 @@
 #include "core/parallel.hpp"
 #include "explore/explorer.hpp"
 #include "explore/guarded.hpp"
-#include "serve/coalesce.hpp"
 #include "serve/replica.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
@@ -575,136 +572,6 @@ TEST(ServeStats, CancelledPointsFoldIntoDegradedAccounting) {
   expect_invariant(s);
 }
 
-// -- coalescing soak ----------------------------------------------------------
-
-TEST(ServeSoak, CoalescedInterleavedSessionsMatchUncoalescedBitwise) {
-  // The 1200-session interleaved soak with cross-session coalescing: every
-  // session computes a synthetic "front" (one float per predict row) through
-  // one shared BatchCoalescer. Fused batch composition depends on thread
-  // timing; the acceptance bar is that every kOk session's front is
-  // bitwise-identical to the uncoalesced (direct per-row) computation, no
-  // deadline charge is lost while waiting in the coalescer, and both the
-  // server and coalescer accounting invariants hold.
-  constexpr size_t kSessions = 1200;
-  constexpr size_t kRounds = 4;
-  constexpr size_t kRowsPerCall = 3;
-
-  const auto row_of = [](uint64_t id, size_t round, size_t k) {
-    return std::vector<float>{static_cast<float>(id),
-                              static_cast<float>(round),
-                              static_cast<float>(k)};
-  };
-  const auto value_of = [](const std::vector<float>& row) {
-    return row[0] * 0.5F + row[1] * 0.25F + row[2] * 2.0F;
-  };
-
-  serve::BatchCoalescer coalescer(
-      {.max_batch = 64, .wait_ticks = 2, .tick_ms = 1},
-      [&](const serve::BatchCoalescer::Rows& rows) {
-        std::vector<float> out;
-        out.reserve(rows.size());
-        for (const auto& r : rows) out.push_back(value_of(r));
-        return out;
-      });
-
-  std::mutex fronts_m;
-  std::map<uint64_t, std::vector<float>> fronts;
-  std::map<uint64_t, std::pair<size_t, size_t>> charges;  // waited, consumed
-
-  serve::ServeOptions options;
-  options.replicas = 4;
-  options.workers = 4;
-  options.queue_capacity = 32;
-  options.admission = serve::AdmissionPolicy::kShedOldest;
-  options.degrade_at = 2.0;  // full quality: fronts must be comparable
-  options.session_deadline_ms = 400;
-  options.watchdog_period_ms = 10;
-  serve::ServerCore server(
-      options, [&](const serve::SessionRequest& req,
-                   const serve::ExecContext& ctx) -> serve::ExecResult {
-        std::vector<float> front;
-        size_t waited_ms = 0;
-        for (size_t round = 0; round < kRounds; ++round) {
-          serve::BatchCoalescer::Rows rows;
-          for (size_t k = 0; k < kRowsPerCall; ++k) {
-            rows.push_back(row_of(req.id, round, k));
-          }
-          const auto t0 = Clock::now();
-          std::vector<float> vals;
-          try {
-            vals = coalescer.predict(req.id, std::move(rows), [&] {
-              return ctx.budget->cancelled() || ctx.budget->exhausted();
-            });
-          } catch (const serve::CoalesceCancelled&) {
-            throw ex::ExplorationAborted(
-                "soak session cancelled while waiting in the coalescer");
-          }
-          // Wait-in-coalescer is charged to the session budget, exactly as
-          // the guard's ChargeOnExit bills a real attempt's wall-clock.
-          const size_t ms = static_cast<size_t>(
-              std::chrono::duration_cast<std::chrono::milliseconds>(
-                  Clock::now() - t0)
-                  .count());
-          ctx.budget->charge(ms);
-          waited_ms += ms;
-          front.insert(front.end(), vals.begin(), vals.end());
-        }
-        std::lock_guard<std::mutex> lk(fronts_m);
-        fronts[req.id] = std::move(front);
-        charges[req.id] = {waited_ms, ctx.budget->consumed_ms()};
-        return {};
-      });
-  server.set_coalesce_stats([&] { return coalescer.stats(); });
-
-  std::vector<std::future<serve::SessionResult>> futures;
-  futures.reserve(kSessions);
-  for (uint64_t id = 0; id < kSessions; ++id) {
-    futures.push_back(server.submit(req(id)));
-  }
-  server.stop(serve::ServerCore::StopMode::kDrain);
-  coalescer.flush();  // drain the last assembling batch for the invariant
-
-  size_t ok = 0;
-  for (auto& fut : futures) {
-    ASSERT_TRUE(ready(fut));
-    const auto res = fut.get();
-    if (res.status != serve::SessionStatus::kOk) continue;
-    ++ok;
-    // Bitwise front equivalence vs the direct, uncoalesced computation.
-    std::lock_guard<std::mutex> lk(fronts_m);
-    const auto& got = fronts.at(res.id);
-    ASSERT_EQ(got.size(), kRounds * kRowsPerCall) << "session " << res.id;
-    size_t i = 0;
-    for (size_t round = 0; round < kRounds; ++round) {
-      for (size_t k = 0; k < kRowsPerCall; ++k, ++i) {
-        ASSERT_EQ(std::bit_cast<uint32_t>(got[i]),
-                  std::bit_cast<uint32_t>(value_of(row_of(res.id, round, k))))
-            << "session " << res.id << " row " << i;
-      }
-    }
-    // No deadline charge lost: everything measured while waiting in the
-    // coalescer landed in the budget (plus the queue wait charged earlier).
-    const auto [waited, consumed] = charges.at(res.id);
-    EXPECT_GE(consumed, waited) << "session " << res.id;
-  }
-  EXPECT_GT(ok, 0U);
-
-  const auto s = server.stats();
-  EXPECT_EQ(s.submitted, kSessions);
-  expect_invariant(s);
-  EXPECT_EQ(s.failed, 0U);
-  EXPECT_LE(s.queue_high_water, options.queue_capacity);
-
-  // Coalesce accounting surfaced through ServerStats and self-consistent.
-  const auto c = coalescer.stats();
-  EXPECT_EQ(s.coalesced_batches, c.coalesced_batches);
-  EXPECT_EQ(s.coalesced_points, c.coalesced_points);
-  EXPECT_GT(c.coalesced_batches, 0U);
-  EXPECT_EQ(c.submitted_points,
-            c.coalesced_points + c.cancelled_points + c.failed_points);
-  EXPECT_EQ(c.failed_points, 0U);
-}
-
 // -- replica supervisor -------------------------------------------------------
 
 namespace {
@@ -1120,4 +987,74 @@ TEST(ServeEngine, ReplicaFrontsMatchAFreshAdaptationBeforeAndAfterRebuild) {
 
   EXPECT_THROW(engine.rebuild_replica(kEngineReplicas), std::out_of_range);
   fs::remove_all(dir);
+}
+
+TEST(ServeEngine, FrontsAndJournalsAreInvariantToIntraOpThreads) {
+  // Concurrent sessions on one engine, each under a SerialRegionGuard like a
+  // ServerCore worker: published fronts and journals must not depend on the
+  // process-wide thread width or on how many sessions run at once.
+  auto& fw = engine_framework();
+  const auto& ds = fw.dataset(kEngineWorkload);
+  metadse::data::Dataset support;
+  support.workload = kEngineWorkload;
+  for (size_t i = 0; i < 8; ++i) support.samples.push_back(ds.samples[i]);
+  constexpr size_t kSessions = 4;
+
+  const auto run = [&](size_t session_threads, const std::string& dir) {
+    fs::create_directories(dir);
+    serve::MetaDseSessionEngine::Options opts;
+    opts.dse = engine_dse();
+    opts.front_dir = dir;
+    serve::MetaDseSessionEngine engine(fw, kSessions, opts);
+    engine.add_workload(kEngineWorkload, support);
+    auto executor = engine.executor();
+
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> failures{0};
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < session_threads; ++t) {
+      threads.emplace_back([&] {
+        core::SerialRegionGuard serial;
+        for (size_t i = next.fetch_add(1); i < kSessions;
+             i = next.fetch_add(1)) {
+          serve::SessionRequest request;
+          request.id = i;
+          request.workload = kEngineWorkload;
+          request.seed = 100 + i;
+          request.journal_path = dir + "/s" + std::to_string(i) + ".journal";
+          serve::ExecContext ctx;
+          ctx.replica = i;
+          ctx.budget = std::make_shared<ex::DeadlineBudget>(0);  // unlimited
+          try {
+            executor(request, ctx);
+          } catch (...) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(failures.load(), 0U);
+
+    std::string bytes;
+    for (size_t i = 0; i < kSessions; ++i) {
+      bytes += slurp_file(engine.front_path(i));
+      bytes += slurp_file(dir + "/s" + std::to_string(i) + ".journal");
+    }
+    return bytes;
+  };
+
+  const std::string base = ::testing::TempDir() + "serve_engine_threads";
+  fs::remove_all(base);
+  const size_t saved_threads = core::threads();
+  core::set_threads(1);
+  const std::string reference = run(1, base + "/ref");
+  ASSERT_FALSE(reference.empty());
+  for (size_t t : {1U, 2U, 8U}) {
+    core::set_threads(t);
+    EXPECT_EQ(run(t, base + "/t" + std::to_string(t)), reference)
+        << "fronts/journals changed at threads " << t;
+  }
+  core::set_threads(saved_threads);
+  fs::remove_all(base);
 }

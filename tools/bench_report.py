@@ -76,7 +76,9 @@ HEADLINE_QUANT = "BM_TransformerPredictBatchQuantInt8/128"
 # two cores) the dispatch overhead inverts the scaling — /8 comes out slower
 # than /1. The report records the ratio either way so the inversion is
 # visible instead of silently folded into an aggregate; the first pair stays
-# the headline.
+# the headline. A wide arm with more threads than the host has CPUs measures
+# oversubscription, not scaling: its verdict is "unmeasured" and it raises
+# no inversion WARN.
 THREAD_SCALING = (
     ("BM_MamlInnerStep/1", "BM_MamlInnerStep/8"),
     ("BM_MamlAdaptClone/1", "BM_MamlAdaptClone/8"),
@@ -96,6 +98,14 @@ def load_times(path):
             continue
         times[b["name"]] = float(b["real_time"])
     return times, doc.get("context", {})
+
+
+def unmeasured(name, num_cpus):
+    """Verdict for a /N thread arm wider than the host, else None."""
+    threads = int(name.rsplit("/", 1)[1])
+    if num_cpus and threads > num_cpus:
+        return f"unmeasured (host has {num_cpus} cpus)"
+    return None
 
 
 def main(argv=None):
@@ -168,17 +178,21 @@ def main(argv=None):
             "speedup": report["quant_speedup_within_run"][HEADLINE_QUANT],
         }
 
+    num_cpus = context.get("num_cpus")
     report["thread_scaling"] = []
     for serial, wide in THREAD_SCALING:
         if serial not in after or wide not in after:
             continue
         ratio = after[wide] / after[serial]
+        skipped = unmeasured(wide, num_cpus)
         entry = {
             "benchmark": f"{wide} vs {serial}",
             "serial_ns": round(after[serial], 1),
             "threaded_ns": round(after[wide], 1),
             "threaded_over_serial": round(ratio, 2),
-            "inverted": ratio > 1.0,
+            "inverted": None if skipped else ratio > 1.0,
+            "verdict": skipped or ("inverted — threads hurt" if ratio > 1.0
+                                   else "threads help"),
         }
         report["thread_scaling"].append(entry)
         if "headline_thread_scaling" not in report:
@@ -206,15 +220,14 @@ def main(argv=None):
         print(f"{quant['benchmark']}: fp32 {quant['fp32_ns'] / 1e3:.1f}us -> "
               f"{quant['quant_ns'] / 1e3:.1f}us ({quant['speedup']}x)")
     for scaling in report["thread_scaling"]:
-        verdict = ("inverted — threads hurt" if scaling["inverted"]
-                   else "threads help")
         print(f"{scaling['benchmark']}: {scaling['serial_ns'] / 1e3:.1f}us -> "
               f"{scaling['threaded_ns'] / 1e3:.1f}us "
-              f"(x{scaling['threaded_over_serial']}, {verdict})")
+              f"(x{scaling['threaded_over_serial']}, {scaling['verdict']})")
     # Any /8 arm slower than its /1 sibling is a scaling inversion worth a
-    # visible WARN, whether or not the pair is a tracked headline.
+    # visible WARN, whether or not the pair is a tracked headline, provided
+    # the host has the cores to run it.
     for name in sorted(after):
-        if not name.endswith("/8"):
+        if not name.endswith("/8") or unmeasured(name, num_cpus):
             continue
         sibling = name[:-2] + "/1"
         if sibling in after and after[name] > after[sibling]:

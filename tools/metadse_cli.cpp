@@ -2,7 +2,7 @@
 //
 //   metadse info                               design space + workload suite
 //   metadse generate --workload W --samples N --out F.csv
-//   metadse pretrain --ckpt F [--epochs E --tasks T --support S]
+//   metadse pretrain --ckpt F [--epochs E --tasks T --pretrain-support S]
 //   metadse evaluate --ckpt F --workload W [--tasks N --support K --no-wam]
 //   metadse adapt    --ckpt F --workload W [--support K --candidates N]
 //   metadse serve    --ckpt F --journal-dir D [--sessions N --replicas R]
@@ -13,6 +13,7 @@
 // SIGINT/SIGTERM request a cooperative stop: journaled work flushes its WAL
 // and snapshot at the next safe point and the process exits with code 3
 // ("stopped by signal, state flushed, resumable" — distinct from 1/2).
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -20,10 +21,13 @@
 #include <cstring>
 #include <filesystem>
 #include <future>
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -68,6 +72,9 @@ class UsageError : public std::runtime_error {
   explicit UsageError(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A command's accepted flags, without the leading "--".
+using FlagSet = std::span<const std::string_view>;
+
 /// Minimal --key value / --flag argument parser.
 class Args {
  public:
@@ -83,6 +90,20 @@ class Args {
       } else {
         kv_[key] = "";
       }
+    }
+  }
+
+  /// Rejects every flag outside @p known (plus --threads, which main()
+  /// applies to every command): a misspelt or retired flag must fail
+  /// loudly, not run with its default. Call before any expensive work.
+  void only(const std::string& cmd,
+            std::initializer_list<FlagSet> known) const {
+    for (const auto& [key, value] : kv_) {
+      const bool ok =
+          key == "threads" || std::ranges::any_of(known, [&](FlagSet set) {
+            return std::ranges::find(set, key) != set.end();
+          });
+      if (!ok) throw UsageError(cmd + ": unknown flag --" + key);
     }
   }
 
@@ -122,8 +143,12 @@ class Args {
   std::map<std::string, std::string> kv_;
 };
 
-/// Fault-injection knobs shared by generate/pretrain/evaluate: lets any
-/// command rehearse against an unreliable label farm.
+/// Fault-injection knobs shared by generate/pretrain/evaluate/adapt: lets
+/// any of them rehearse against an unreliable label farm.
+constexpr std::string_view kFaultFlags[] = {
+    "inject-fail", "inject-timeout", "inject-nan", "inject-garbage",
+    "inject-persistent", "fault-seed"};
+
 sim::FaultPlan fault_plan_from(const Args& args) {
   sim::FaultPlan plan;
   plan.fail_rate = args.real("inject-fail", 0.0);
@@ -167,6 +192,11 @@ tensor::quant::Precision precision_from(const Args& args) {
   return p;
 }
 
+/// The flags options_from reads.
+constexpr std::string_view kFrameworkFlags[] = {
+    "seed", "dataset-size", "epochs", "tasks", "pretrain-support",
+    "val-tasks", "verbose"};
+
 core::FrameworkOptions options_from(const Args& args) {
   core::FrameworkOptions o;
   o.seed = args.num("seed", 2025);
@@ -195,7 +225,8 @@ int require_ckpt(core::MetaDseFramework& fw, const Args& args) {
   return 0;
 }
 
-int cmd_info() {
+int cmd_info(const Args& args) {
+  args.only("info", {});
   const auto& space = arch::DesignSpace::table1();
   std::printf("design space: %zu parameters, %.3e points\n\n",
               space.num_params(), space.total_points());
@@ -224,6 +255,9 @@ int cmd_info() {
 }
 
 int cmd_generate(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"workload", "out", "seed",
+                                                "samples"};
+  args.only("generate", {kFlags, kFaultFlags});
   const std::string wl = args.str("workload");
   const std::string out = args.str("out");
   if (wl.empty() || out.empty()) {
@@ -244,6 +278,8 @@ int cmd_generate(const Args& args) {
 }
 
 int cmd_pretrain(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"ckpt", "no-autosave"};
+  args.only("pretrain", {kFlags, kFrameworkFlags, kFaultFlags});
   const std::string path = args.str("ckpt");
   if (path.empty()) {
     throw UsageError("pretrain requires --ckpt file "
@@ -274,6 +310,9 @@ int cmd_pretrain(const Args& args) {
 }
 
 int cmd_evaluate(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"ckpt", "workload", "support",
+                                                "no-wam"};
+  args.only("evaluate", {kFlags, kFrameworkFlags, kFaultFlags});
   core::MetaDseFramework fw(options_from(args));
   fw.set_fault_plan(fault_plan_from(args));
   if (int rc = require_ckpt(fw, args)) return rc;
@@ -306,6 +345,12 @@ int cmd_evaluate(const Args& args) {
 }
 
 int cmd_adapt(const Args& args) {
+  static constexpr std::string_view kFlags[] = {
+      "ckpt", "workload", "support", "candidates", "predict-batch",
+      "eval-deadline-ms", "eval-retries", "snapshot-period", "eval-sleep-ms",
+      "journal-compact", "journal", "resume", "precision", "degrade-policy",
+      "front-out"};
+  args.only("adapt", {kFlags, kFrameworkFlags, kFaultFlags});
   core::MetaDseFramework fw(options_from(args));
   if (int rc = require_ckpt(fw, args)) return rc;
   // Faults land on run_dse's simulator leg (the framework's generator); the
@@ -461,6 +506,15 @@ int cmd_adapt(const Args& args) {
 /// per-session journals) mid-traffic is recoverable: rerun with --resume to
 /// finish the missing sessions bitwise-identically.
 int cmd_serve(const Args& args) {
+  static constexpr std::string_view kFlags[] = {
+      "ckpt", "journal-dir", "sessions", "replicas", "workers",
+      "queue-capacity", "arrival-ms", "session-deadline-ms", "support",
+      "candidates", "eval-sleep-ms", "predict-batch", "journal-compact",
+      "rebuild-limit", "rebuild-window-ms", "precision", "chaos-drill",
+      "retry-after-ms", "degrade-at", "watchdog-ms", "wedged-after-ms",
+      "admission", "workload", "eval-deadline-ms", "snapshot-period",
+      "resume"};
+  args.only("serve", {kFlags, kFrameworkFlags});
   core::MetaDseFramework fw(options_from(args));
 
   const std::string journal_dir = args.str("journal-dir");
@@ -478,8 +532,6 @@ int cmd_serve(const Args& args) {
   const long cand_arg = args.num("candidates", 200);
   const long sleep_arg = args.num("eval-sleep-ms", 0);
   const long batch_arg = args.num("predict-batch", 16);
-  const long coalesce_arg = args.num("coalesce-max-batch", 0);
-  const long coalesce_ticks_arg = args.num("coalesce-wait-ticks", 2);
   const long compact_arg = args.num("journal-compact", 0);
   const long rebuild_limit_arg = args.num("rebuild-limit", 0);
   const long rebuild_window_arg = args.num("rebuild-window-ms", 60000);
@@ -513,22 +565,6 @@ int cmd_serve(const Args& args) {
   if (batch_arg < 1) {
     throw UsageError("serve: --predict-batch must be >= 1 (1 = fully "
                      "sequential; got " + std::to_string(batch_arg) + ")");
-  }
-  if (coalesce_arg < 0) {
-    throw UsageError("serve: --coalesce-max-batch must be >= 0 (0 = "
-                     "coalescing off; got " + std::to_string(coalesce_arg) +
-                     ")");
-  }
-  // --coalesce-wait-ticks only means anything with coalescing on; a 0-tick
-  // coalescer would flush every tick and never assemble a batch.
-  if (coalesce_arg > 0 && coalesce_ticks_arg < 1) {
-    throw UsageError("serve: --coalesce-wait-ticks must be >= 1 when "
-                     "coalescing is enabled (--coalesce-max-batch > 0); got " +
-                     std::to_string(coalesce_ticks_arg));
-  }
-  if (coalesce_arg == 0 && args.has("coalesce-wait-ticks")) {
-    throw UsageError("serve: --coalesce-wait-ticks has no effect without "
-                     "--coalesce-max-batch > 0 (coalescing is off)");
   }
   if (arrival_arg < 0) {
     throw UsageError("serve: --arrival-ms must be >= 0 (got " +
@@ -706,17 +742,6 @@ int cmd_serve(const Args& args) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_arg));
     };
   }
-  if (coalesce_arg > 0) {
-    // Cross-session batch coalescing: concurrent sessions' surrogate
-    // queries fuse into one forward. Safe to flip on freely — per-row
-    // results are bitwise-independent of batch composition, so fronts and
-    // journals match the uncoalesced run exactly.
-    serve::CoalesceOptions copts;
-    copts.max_batch = static_cast<size_t>(coalesce_arg);
-    copts.wait_ticks = static_cast<size_t>(coalesce_ticks_arg);
-    eopts.coalesce = copts;
-  }
-
   // Support sets are simulated once per workload (clean generator, fixed
   // order); each workload is adapted once and cloned into every replica.
   serve::MetaDseSessionEngine engine(fw, sopts.replicas, eopts);
@@ -750,9 +775,6 @@ int cmd_serve(const Args& args) {
               sopts.queue_capacity, serve::to_string(sopts.admission));
 
   serve::ServerCore server(sopts, engine.executor());
-  if (engine.coalescing()) {
-    server.set_coalesce_stats([&engine] { return engine.coalesce_stats(); });
-  }
   server.set_plan_stats([&engine] { return engine.plan_stats(); });
   // Self-healing: a condemned replica is rebuilt (every workload re-cloned
   // from its adapted prototype) before rejoining dispatch.
@@ -848,14 +870,6 @@ int cmd_serve(const Args& args) {
                 tensor::quant::to_string(precision), stats.quant_sessions,
                 stats.quant_fallbacks);
   }
-  if (engine.coalescing()) {
-    const serve::CoalesceStats cs = engine.coalesce_stats();
-    std::printf("coalesce: %zu fused batches, %zu points (mean %.1f "
-                "points/batch, max %zu), %zu cancelled\n",
-                cs.coalesced_batches, cs.coalesced_points,
-                cs.mean_batch_points(), cs.max_batch_points,
-                cs.cancelled_points);
-  }
   if (chaos_drill) {
     auto& chaos = core::chaos::ChaosEngine::instance();
     std::printf("%s", chaos.summary().c_str());
@@ -881,6 +895,9 @@ int cmd_serve(const Args& args) {
 /// never on weights, so a fresh model dumps the exact program every trained
 /// replica of the same architecture shares.
 int cmd_plan_dump(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"batch", "no-fuse",
+                                                "precision", "seed"};
+  args.only("plan-dump", {kFlags});
   const long batch_arg = args.num("batch", 1);
   if (batch_arg < 1) throw UsageError("plan-dump: --batch must be >= 1");
   const size_t batch = static_cast<size_t>(batch_arg);
@@ -909,6 +926,8 @@ int cmd_plan_dump(const Args& args) {
 }
 
 int cmd_similarity(const Args& args) {
+  static constexpr std::string_view kFlags[] = {"seed", "samples"};
+  args.only("similarity", {kFlags});
   workload::SpecSuite suite;
   data::DatasetGenerator gen(arch::DesignSpace::table1());
   tensor::Rng rng(args.num("seed", 2025));
@@ -969,21 +988,22 @@ void usage() {
       "                     --watchdog-ms P --wedged-after-ms W\n"
       "                     --workload W --support K --candidates N\n"
       "                     --eval-sleep-ms S --resume\n"
-      "                     --coalesce-max-batch B --coalesce-wait-ticks T\n"
+      "                     --predict-batch B --eval-deadline-ms E\n"
+      "                     --snapshot-period G --retry-after-ms T\n"
       "                     --journal-compact N --rebuild-limit L\n"
       "                     --rebuild-window-ms W --chaos-drill\n"
       "                     --precision fp32|bf16|int8]\n"
       "           (multi-session serving; fronts publish to\n"
       "            <journal-dir>/front_<id>.txt; exit 3 = interrupted by\n"
       "            signal, journals flushed, rerun with --resume;\n"
-      "            B > 0 fuses concurrent sessions' surrogate batches —\n"
-      "            fronts stay bitwise-identical to B = 0;\n"
       "            L > 0 quarantines a replica rebuilt > L times in W ms;\n"
       "            --chaos-drill arms a canned scoped fault plan and fails\n"
       "            unless every armed fault point fired)\n"
       "  similarity [--samples N]\n"
-      "common flags: --seed S, --dataset-size N, --threads N (0 = auto),\n"
-      "  --verbose\n"
+      "common flags: --threads N (0 = auto), --seed S (all but info);\n"
+      "  pretrain/evaluate/adapt/serve also take --dataset-size N\n"
+      "  --val-tasks V --verbose. A flag the command does not read is an\n"
+      "  error.\n"
       "fault injection (generate/pretrain/evaluate/adapt): --inject-fail R\n"
       "  --inject-timeout R --inject-nan R --inject-garbage R\n"
       "  --inject-persistent R --fault-seed S  (rates in [0,1])\n");
@@ -1002,7 +1022,7 @@ int main(int argc, char** argv) {
   try {
     Args args(argc, argv, 2);
     apply_threads(args);
-    if (cmd == "info") return cmd_info();
+    if (cmd == "info") return cmd_info(args);
     if (cmd == "generate") return cmd_generate(args);
     if (cmd == "pretrain") return cmd_pretrain(args);
     if (cmd == "evaluate") return cmd_evaluate(args);
