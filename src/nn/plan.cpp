@@ -344,6 +344,23 @@ bool PredictPlanner::run(size_t batch, const float* in, float* out) {
 
 // -- calibration capture -----------------------------------------------------
 
+bool bind_predict_externals(tp::ProgramExec& exec,
+                            const TransformerRegressor& model) {
+  std::vector<const float*> ptrs;
+  for (const auto& p : model.parameters()) {
+    ptrs.push_back(p.node()->value.data());
+  }
+  for (size_t i = 0; i < model.layer_count(); ++i) {
+    const auto& attn = model.attention_layer(i);
+    if (attn.has_mask()) ptrs.push_back(attn.mask().node()->value.data());
+  }
+  if (ptrs.size() != exec.program().n_external) return false;
+  for (size_t slot = 0; slot < ptrs.size(); ++slot) {
+    exec.bind_external(static_cast<uint32_t>(slot), ptrs[slot]);
+  }
+  return true;
+}
+
 bool capture_calibration(TransformerRegressor& model, const float* in,
                          size_t batch) {
   std::string why;
@@ -357,17 +374,7 @@ bool capture_calibration(TransformerRegressor& model, const float* in,
   }
   if (!prog) return false;
   tp::ProgramExec exec(prog);
-  uint32_t slot = 0;
-  for (const auto& p : model.parameters()) {
-    exec.bind_external(slot++, p.node()->value.data());
-  }
-  for (size_t i = 0; i < model.layer_count(); ++i) {
-    const auto& attn = model.attention_layer(i);
-    if (attn.has_mask()) {
-      exec.bind_external(slot++, attn.mask().node()->value.data());
-    }
-  }
-  if (slot != prog->n_external) return false;
+  if (!bind_predict_externals(exec, model)) return false;
   std::vector<float> table;
   exec.capture_absmax(&table);
   std::vector<float> out(batch * model.config().n_outputs);

@@ -103,6 +103,12 @@ std::string predict_plan_key(
     const TransformerRegressor& model, size_t batch, bool fuse,
     tensor::quant::Precision prec = tensor::quant::Precision::kFp32);
 
+/// Binds @p model's parameters, then its installed masks in layer order, to
+/// the external slots of @p exec — the slot order compile_predict assigns.
+/// Returns false when the count does not match the program's externals.
+bool bind_predict_externals(tensor::plan::ProgramExec& exec,
+                            const TransformerRegressor& model);
+
 /// Compiles a predict plan for @p batch rows of @p in ([batch, n_tokens]
 /// row-major), runs it once in absmax-capture mode, and installs the
 /// resulting per-gemm activation scale table in @p model

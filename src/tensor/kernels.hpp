@@ -293,6 +293,72 @@ inline float layer_norm_affine_row(const float* px, const float* pg,
   return is;
 }
 
+/// Affine layer norm over @p rows rows of length @p L, bitwise identical to
+/// layer_norm_affine_row (without the stash) applied row by row. Rows go
+/// through in blocks of 16, one row per lane: each row's mean and variance
+/// stay sequential ascending-i chains in layer_norm_affine_row's order, but
+/// the block's 16 independent chains advance together instead of one
+/// add-latency-bound chain at a time. The block is read through a
+/// lane-major tile of up to 32 columns (transposed once when L <= 32, once
+/// per pass otherwise), so each step of every chain is one vector op. A
+/// partial last block runs the same code, its spare lanes re-reading the
+/// block's last row (computed, never stored). The affine pass is row-wise,
+/// as in the row kernel.
+inline void layer_norm_affine_rows(const float* x, const float* gamma,
+                                   const float* beta, float* o, size_t rows,
+                                   size_t L, float eps) {
+  constexpr size_t kB = 16;  // rows per block, one per lane
+  constexpr size_t kC = 32;  // columns per transposed chunk
+  const float n = static_cast<float>(L);
+  float xt[kC * kB];  // xt[i*kB + r] = row r, column i0 + i
+  for (size_t r0 = 0; r0 < rows; r0 += kB) {
+    const size_t nb = std::min(kB, rows - r0);
+    const float* px[kB];
+    for (size_t r = 0; r < kB; ++r) px[r] = x + (r0 + std::min(r, nb - 1)) * L;
+    auto load = [&](size_t i0, size_t w) {
+      for (size_t i = 0; i < w; ++i) {
+        for (size_t r = 0; r < kB; ++r) xt[i * kB + r] = px[r][i0 + i];
+      }
+    };
+    float mu[kB];
+    float var[kB];
+    float is[kB];
+    for (size_t r = 0; r < kB; ++r) mu[r] = 0.0F;
+    for (size_t i0 = 0; i0 < L; i0 += kC) {
+      const size_t w = std::min(kC, L - i0);
+      load(i0, w);
+      for (size_t i = 0; i < w; ++i) {
+        for (size_t r = 0; r < kB; ++r) mu[r] += xt[i * kB + r];
+      }
+    }
+    for (size_t r = 0; r < kB; ++r) mu[r] /= n;
+    for (size_t r = 0; r < kB; ++r) var[r] = 0.0F;
+    for (size_t i0 = 0; i0 < L; i0 += kC) {
+      const size_t w = std::min(kC, L - i0);
+      if (L > kC) load(i0, w);
+      for (size_t i = 0; i < w; ++i) {
+        for (size_t r = 0; r < kB; ++r) {
+          const float d = xt[i * kB + r] - mu[r];
+          var[r] += d * d;
+        }
+      }
+    }
+    for (size_t r = 0; r < kB; ++r) {
+      var[r] /= n;
+      is[r] = 1.0F / std::sqrt(var[r] + eps);
+    }
+    for (size_t r = 0; r < nb; ++r) {
+      const float* pr = px[r];
+      float* po = o + (r0 + r) * L;
+      for (size_t i = 0; i < L; ++i) {
+        const float y = (pr[i] - mu[r]) * is[r];
+        const float m = y * gamma[i];
+        po[i] = m + beta[i];
+      }
+    }
+  }
+}
+
 /// One plain layer-norm row (no affine): y = (x - mean)/std; returns 1/std.
 inline float layer_norm_row(const float* x, float* y, size_t L, float eps) {
   float mu = 0.0F;

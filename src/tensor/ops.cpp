@@ -819,11 +819,15 @@ Tensor layer_norm_affine(const Tensor& x, const Tensor& gamma,
       rec ? BufferPool::acquire(an->value.size()) : std::vector<float>{};
   std::vector<float> inv_std =
       rec ? BufferPool::acquire(rows) : std::vector<float>{};
-  for (size_t r = 0; r < rows; ++r) {
-    const float is = kern::layer_norm_affine_row(
-        an->value.data() + r * L, gn->value.data(), bn->value.data(),
-        out.data() + r * L, rec ? normed.data() + r * L : nullptr, L, eps);
-    if (rec) inv_std[r] = is;
+  if (rec) {
+    for (size_t r = 0; r < rows; ++r) {
+      inv_std[r] = kern::layer_norm_affine_row(
+          an->value.data() + r * L, gn->value.data(), bn->value.data(),
+          out.data() + r * L, normed.data() + r * L, L, eps);
+    }
+  } else {
+    kern::layer_norm_affine_rows(an->value.data(), gn->value.data(),
+                                 bn->value.data(), out.data(), rows, L, eps);
   }
   float* np = rec ? normed.data() : nullptr;
   float* ivp = rec ? inv_std.data() : nullptr;

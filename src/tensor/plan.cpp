@@ -1,6 +1,7 @@
 #include "tensor/plan.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <ostream>
 
 #include "core/parallel.hpp"
@@ -1037,6 +1038,11 @@ void ProgramExec::capture_absmax(std::vector<float>* out) {
   }
 }
 
+void ProgramExec::profile_ns(std::vector<uint64_t>* ns) {
+  profile_ = ns;
+  if (profile_ != nullptr) profile_->assign(prog_->instrs.size(), 0);
+}
+
 void ProgramExec::prepare_quant_() {
   if (!resolved_) resolve_();
   const std::vector<size_t> idxs = prog_->quant_gemms();
@@ -1221,28 +1227,128 @@ void run_gemm_nt(const Instr& ins, const float* a, const float* bsrc,
   BufferPool::release(std::move(bt));
 }
 
-/// Fused attention core over the [B,S,H*Dh] projections: per (b,h) group,
-/// pack k^T into a stack tile, scores via the shared GEMM panels
-/// (ascending-d chains, identical to gemm_nt_forward), scale each element
-/// after its full accumulation (the eager div op), shared softmax / masked
-/// renorm row routines, then ctx GEMM with v rows read at stride D and the
-/// merged output written strided — eliminating every permute/reshape.
-/// Body of one contiguous range of (b, h) attention groups. CS/CDh are
-/// compile-time seq-length / head-dim hints (0 = use the runtime value):
-/// constant trip counts let the packs, panel GEMMs and softmax rows fully
-/// unroll, which measures ~3x over the one generic instantiation on the
-/// paper shapes. Every specialization executes the same rounded float ops in
-/// the same per-element order as the generic form, so outputs are bitwise
-/// identical whichever instantiation the dispatcher picks.
+/// Scores of W consecutive keys against every query lane of one attention
+/// group: pt[w*S + m] = (q[m] . k[w]) / scale, each an ascending-d gemm_mac
+/// chain from 0 (matmul_nt's), divided once complete (the eager div op).
+/// The W keys advance together only so their chains overlap in the
+/// pipeline. @p kr points at the first key row (stride D).
+template <size_t CS, size_t W>
+void fattn_score_keys(size_t rt_s, size_t Dh, size_t D, float scale,
+                      const float* qt, const float* kr, float* pt) {
+  const size_t S = CS != 0 ? CS : rt_s;
+  float acc[W][CS != 0 ? CS : kAttnMaxS];
+  for (size_t w = 0; w < W; ++w) {
+    for (size_t m = 0; m < S; ++m) acc[w][m] = 0.0F;
+  }
+  for (size_t d = 0; d < Dh; ++d) {
+    const float* qd = qt + d * S;
+    for (size_t w = 0; w < W; ++w) {
+      const float kv = kr[w * D + d];
+      for (size_t m = 0; m < S; ++m) {
+        acc[w][m] = kern::gemm_mac(acc[w][m], qd[m], kv);
+      }
+    }
+  }
+  for (size_t w = 0; w < W; ++w) {
+    for (size_t m = 0; m < S; ++m) pt[w * S + m] = acc[w][m] / scale;
+  }
+}
+
+/// Per-lane row max of the key-major score tile, in kern::row_max's order:
+/// from 16 keys on, eight split maxima over keys j ≡ l (mod 8) up to the
+/// last whole octet, folded 0..7, then the tail keys; below 16 keys a
+/// plain ascending scan. max is exact, but std::max keeps its first operand
+/// on ties, so the schedule is kept to resolve signed zeros identically.
+template <size_t CS>
+void fattn_lane_max(size_t rt_s, const float* pt, float* mx) {
+  const size_t S = CS != 0 ? CS : rt_s;
+  if (S < 16) {
+    for (size_t m = 0; m < S; ++m) mx[m] = pt[m];
+    for (size_t j = 1; j < S; ++j) {
+      const float* pr = pt + j * S;
+      for (size_t m = 0; m < S; ++m) mx[m] = std::max(mx[m], pr[m]);
+    }
+    return;
+  }
+  float part[8 * kAttnMaxS];  // part[l*S + m]: split max l of lane m
+  for (size_t i = 0; i < 8 * S; ++i) part[i] = pt[i];
+  size_t j = 8;
+  for (; j + 8 <= S; j += 8) {
+    for (size_t l = 0; l < 8; ++l) {
+      const float* pr = pt + (j + l) * S;
+      float* pl = part + l * S;
+      for (size_t m = 0; m < S; ++m) pl[m] = std::max(pl[m], pr[m]);
+    }
+  }
+  for (size_t m = 0; m < S; ++m) mx[m] = part[m];
+  for (size_t l = 1; l < 8; ++l) {
+    const float* pl = part + l * S;
+    for (size_t m = 0; m < S; ++m) mx[m] = std::max(mx[m], pl[m]);
+  }
+  for (; j < S; ++j) {
+    const float* pr = pt + j * S;
+    for (size_t m = 0; m < S; ++m) mx[m] = std::max(mx[m], pr[m]);
+  }
+}
+
+/// W consecutive context columns of one attention group: os[m*D + w] =
+/// sum_s p[m][s] * v[s][w], each an ascending-s gemm_mac chain from 0
+/// (matmul's), written straight into the merged [B,S,H*Dh] layout.
+template <size_t CS, size_t W>
+void fattn_context_cols(size_t rt_s, size_t D, const float* pt,
+                        const float* vs, float* os) {
+  const size_t S = CS != 0 ? CS : rt_s;
+  float acc[W][CS != 0 ? CS : kAttnMaxS];
+  for (size_t w = 0; w < W; ++w) {
+    for (size_t m = 0; m < S; ++m) acc[w][m] = 0.0F;
+  }
+  for (size_t j = 0; j < S; ++j) {
+    const float* pr = pt + j * S;
+    for (size_t w = 0; w < W; ++w) {
+      const float vb = vs[j * D + w];
+      for (size_t m = 0; m < S; ++m) {
+        acc[w][m] = kern::gemm_mac(acc[w][m], pr[m], vb);
+      }
+    }
+  }
+  for (size_t m = 0; m < S; ++m) {
+    for (size_t w = 0; w < W; ++w) os[m * D + w] = acc[w][m];
+  }
+}
+
+/// Fused attention core over the [B,S,H*Dh] projections, one (b,h) group at
+/// a time with the group's S query rows in vector lanes. Every per-row
+/// reduction — the row max, the softmax denominator, the masked mass — is a
+/// short sequential chain, so a row-at-a-time body is bound by add latency;
+/// with rows as lanes the same chains advance side by side, one lane each.
+/// Per element the rounded ops and their order are exactly the eager ones:
+///   scores    ascending-d gemm_mac chain from 0 (matmul_nt), then / scale;
+///   max       kern::row_max's lane split (max is exact, but its schedule is
+///             kept anyway so signed zeros resolve identically);
+///   softmax   fast_expf(x - max), denominator summed in ascending key
+///             order, then one divide (kern::softmax_row);
+///   mask      mass = sequential sum of y*mk, + eps, then (y*mk) / mass
+///             (kern::masked_renorm_row);
+///   context   ascending-s gemm_mac chain from 0 (matmul), scattered into
+///             the merged [B,S,H*Dh] layout — no permute or reshape.
+/// Lanes only interleave independent rows; no element's chain is split or
+/// reordered, so the output is bitwise identical to eager at any vector
+/// width. @p mt is the [S,S] mask transposed to key-major (mt[j*S + m] =
+/// mask[m][j]) or null. CS/CDh are compile-time seq-length / head-dim
+/// hints (0 = use the runtime value): constant trip counts let the lane
+/// loops vectorize without remainders.
 template <size_t CS, size_t CDh>
 void fattn_groups_impl(size_t rt_s, size_t rt_dh, size_t D, size_t H,
                        float scale, float eps, const float* q, const float* k,
-                       const float* v, const float* mask, float* o, size_t g0,
+                       const float* v, const float* mt, float* o, size_t g0,
                        size_t g1) {
   const size_t S = CS != 0 ? CS : rt_s;
   const size_t Dh = CDh != 0 ? CDh : rt_dh;
-  float kt[kAttnMaxDh * kAttnMaxS];
-  float sc[kAttnMaxS * kAttnMaxS];
+  float qt[kAttnMaxDh * kAttnMaxS];  // qt[d*S + m] = q[m][d]
+  float pt[kAttnMaxS * kAttnMaxS];   // pt[j*S + m]: query m, key j
+  float mx[kAttnMaxS];
+  float den[kAttnMaxS];
+  float mass[kAttnMaxS];
   for (size_t g = g0; g < g1; ++g) {
     const size_t bb = g / H;
     const size_t h = g % H;
@@ -1250,42 +1356,53 @@ void fattn_groups_impl(size_t rt_s, size_t rt_dh, size_t D, size_t H,
     const float* ks = k + bb * S * D + h * Dh;
     const float* vs = v + bb * S * D + h * Dh;
     float* os = o + bb * S * D + h * Dh;
-    for (size_t s = 0; s < S; ++s) {
-      for (size_t d = 0; d < Dh; ++d) kt[d * S + s] = ks[s * D + d];
+    for (size_t m = 0; m < S; ++m) {
+      for (size_t d = 0; d < Dh; ++d) qt[d * S + m] = qs[m * D + d];
     }
-    // At these tiny extents (K = Dh, N = S) the register-blocked gemm path
-    // loses to straight per-row 8-wide panels — same ascending-k chains, so
-    // bitwise identical — by ~6x; use panels whenever the specialized dims
-    // divide evenly and fall back to the shared blocked kernel otherwise.
-    if constexpr (CS != 0 && CS % 8 == 0 && CDh != 0) {
+    size_t j0 = 0;
+    for (; j0 + 4 <= S; j0 += 4) {
+      fattn_score_keys<CS, 4>(S, Dh, D, scale, qt, ks + j0 * D, pt + j0 * S);
+    }
+    for (; j0 < S; ++j0) {
+      fattn_score_keys<CS, 1>(S, Dh, D, scale, qt, ks + j0 * D, pt + j0 * S);
+    }
+    fattn_lane_max<CS>(S, pt, mx);
+    for (size_t m = 0; m < S; ++m) den[m] = 0.0F;
+    for (size_t j = 0; j < S; ++j) {
+      float* pr = pt + j * S;
       for (size_t m = 0; m < S; ++m) {
-        const float* qr = qs + m * D;
-        float* pom = sc + m * S;
-        for (size_t n0 = 0; n0 < S; n0 += 8) {
-          kern::gemm_row_panel<8, true>(qr, kt + n0, pom + n0, 0, Dh, S);
-        }
-      }
-    } else {
-      kern::gemm_rows_ld<true>(qs, D, kt, S, sc, S, 0, S, 0, Dh, S);
-    }
-    for (size_t si = 0; si < S; ++si) {
-      float* row = sc + si * S;
-      for (size_t j = 0; j < S; ++j) row[j] = row[j] / scale;
-      kern::softmax_row(row, row, S);
-      if (mask != nullptr) {
-        kern::masked_renorm_row(row, mask + si * S, row, S, eps);
+        pr[m] = kern::fast_expf(pr[m] - mx[m]);
+        den[m] += pr[m];
       }
     }
-    if constexpr (CDh != 0 && CDh % 8 == 0) {
-      for (size_t si = 0; si < S; ++si) {
-        const float* ar = sc + si * S;
-        float* orow = os + si * D;
-        for (size_t n0 = 0; n0 < Dh; n0 += 8) {
-          kern::gemm_row_panel<8, true>(ar, vs + n0, orow + n0, 0, S, D);
-        }
+    if (mt == nullptr) {
+      for (size_t j = 0; j < S; ++j) {
+        float* pr = pt + j * S;
+        for (size_t m = 0; m < S; ++m) pr[m] = pr[m] / den[m];
       }
     } else {
-      kern::gemm_rows_ld<true>(sc, S, vs, D, os, D, 0, S, 0, S, Dh);
+      for (size_t m = 0; m < S; ++m) mass[m] = 0.0F;
+      for (size_t j = 0; j < S; ++j) {
+        float* pr = pt + j * S;
+        const float* mr = mt + j * S;
+        for (size_t m = 0; m < S; ++m) {
+          pr[m] = pr[m] / den[m];
+          mass[m] += pr[m] * mr[m];
+        }
+      }
+      for (size_t m = 0; m < S; ++m) mass[m] = mass[m] + eps;
+      for (size_t j = 0; j < S; ++j) {
+        float* pr = pt + j * S;
+        const float* mr = mt + j * S;
+        for (size_t m = 0; m < S; ++m) pr[m] = (pr[m] * mr[m]) / mass[m];
+      }
+    }
+    size_t d0 = 0;
+    for (; d0 + 4 <= Dh; d0 += 4) {
+      fattn_context_cols<CS, 4>(S, D, pt, vs + d0, os + d0);
+    }
+    for (; d0 < Dh; ++d0) {
+      fattn_context_cols<CS, 1>(S, D, pt, vs + d0, os + d0);
     }
   }
 }
@@ -1295,24 +1412,24 @@ void fattn_groups_impl(size_t rt_s, size_t rt_dh, size_t D, size_t H,
 /// everything else to the generic one.
 void fattn_groups(size_t S, size_t Dh, size_t D, size_t H, float scale,
                   float eps, const float* q, const float* k, const float* v,
-                  const float* mask, float* o, size_t g0, size_t g1) {
+                  const float* mt, float* o, size_t g0, size_t g1) {
   if (Dh == 8) {
     switch (S) {
       case 24:
-        return fattn_groups_impl<24, 8>(S, Dh, D, H, scale, eps, q, k, v,
-                                        mask, o, g0, g1);
+        return fattn_groups_impl<24, 8>(S, Dh, D, H, scale, eps, q, k, v, mt,
+                                        o, g0, g1);
       case 16:
-        return fattn_groups_impl<16, 8>(S, Dh, D, H, scale, eps, q, k, v,
-                                        mask, o, g0, g1);
+        return fattn_groups_impl<16, 8>(S, Dh, D, H, scale, eps, q, k, v, mt,
+                                        o, g0, g1);
       case 8:
-        return fattn_groups_impl<8, 8>(S, Dh, D, H, scale, eps, q, k, v,
-                                       mask, o, g0, g1);
+        return fattn_groups_impl<8, 8>(S, Dh, D, H, scale, eps, q, k, v, mt,
+                                       o, g0, g1);
       default:
-        return fattn_groups_impl<0, 8>(S, Dh, D, H, scale, eps, q, k, v,
-                                       mask, o, g0, g1);
+        return fattn_groups_impl<0, 8>(S, Dh, D, H, scale, eps, q, k, v, mt,
+                                       o, g0, g1);
     }
   }
-  fattn_groups_impl<0, 0>(S, Dh, D, H, scale, eps, q, k, v, mask, o, g0, g1);
+  fattn_groups_impl<0, 0>(S, Dh, D, H, scale, eps, q, k, v, mt, o, g0, g1);
 }
 
 void run_fattn(const Instr& ins, const float* q, const float* k,
@@ -1325,10 +1442,18 @@ void run_fattn(const Instr& ins, const float* q, const float* k,
   const size_t G = B * H;
   const float scale = ins.f0;
   const float eps = ins.f1;
+  // the mask is shared by every group: transpose it to key-major once
+  float mt[kAttnMaxS * kAttnMaxS];
+  if (mask != nullptr) {
+    for (size_t j = 0; j < S; ++j) {
+      for (size_t m = 0; m < S; ++m) mt[j * S + m] = mask[m * S + j];
+    }
+  }
+  const float* mtp = mask != nullptr ? mt : nullptr;
   const size_t grain = std::max<size_t>(
       1, kern::kGemmGrainFlops / std::max<size_t>(1, S * S * Dh));
   core::parallel_for_blocks_static(G, grain, [&](size_t g0, size_t g1) {
-    fattn_groups(S, Dh, D, H, scale, eps, q, k, v, mask, o, g0, g1);
+    fattn_groups(S, Dh, D, H, scale, eps, q, k, v, mtp, o, g0, g1);
   });
 }
 
@@ -1396,7 +1521,11 @@ void ProgramExec::run(const float* in, float* out) {
   };
   std::copy(in, in + numel(p.in_shape),
             ptrs_[p.input_cell]);
-  for (const Instr& ins : p.instrs) {
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point t0;
+  for (size_t ii = 0; ii < p.instrs.size(); ++ii) {
+    const Instr& ins = p.instrs[ii];
+    if (profile_ != nullptr) t0 = Clock::now();
     const float* a = ptrs_[ins.a];
     const float* bb = ptrs_[ins.b];
     const float* cc = ptrs_[ins.c];
@@ -1501,10 +1630,7 @@ void ProgramExec::run(const float* in, float* out) {
           quant::layer_norm_affine_rows_fast(a, bb, cc, o, ins.m, ins.n,
                                              ins.f0);
         } else {
-          for (size_t r = 0; r < ins.m; ++r) {
-            kern::layer_norm_affine_row(a + r * ins.n, bb, cc, o + r * ins.n,
-                                        nullptr, ins.n, ins.f0);
-          }
+          kern::layer_norm_affine_rows(a, bb, cc, o, ins.m, ins.n, ins.f0);
         }
         break;
       case IKind::kBiasGelu:
@@ -1593,6 +1719,12 @@ void ProgramExec::run(const float* in, float* out) {
     // cells are reused across instructions: a write into the cached
     // activation buffer invalidates its quantized image
     if (o == qact_src) qact_src = nullptr;
+    if (profile_ != nullptr) {
+      (*profile_)[ii] += static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
+                                                               t0)
+              .count());
+    }
   }
   const float* src = ptrs_[p.output_cell];
   std::copy(src, src + numel(p.out_shape), out);
@@ -1656,6 +1788,15 @@ void dump_cell(std::ostream& os, const CompiledProgram& p, uint32_t v) {
 
 }  // namespace
 
+std::string CompiledProgram::instr_name(size_t i) const {
+  const Instr& ins = instrs[i];
+  std::string name = ikind_name(ins.k);
+  if (ins.k == IKind::kBinary) name += std::string(".") + binfn_name(ins.fn);
+  if (ins.k == IKind::kGemm && ins.flag) name += ".nt";
+  if (ins.k == IKind::kFAttn && ins.flag) name += ".masked";
+  return name;
+}
+
 void CompiledProgram::dump(std::ostream& os, quant::Precision p) const {
   std::vector<bool> quantized(instrs.size(), false);
   if (p != quant::Precision::kFp32) {
@@ -1666,10 +1807,7 @@ void CompiledProgram::dump(std::ostream& os, quant::Precision p) const {
      << " fused):\n";
   for (size_t i = 0; i < instrs.size(); ++i) {
     const Instr& ins = instrs[i];
-    os << "  [" << i << "] " << ikind_name(ins.k);
-    if (ins.k == IKind::kBinary) os << "." << binfn_name(ins.fn);
-    if (ins.k == IKind::kGemm && ins.flag) os << ".nt";
-    if (ins.k == IKind::kFAttn && ins.flag) os << ".masked";
+    os << "  [" << i << "] " << instr_name(i);
     os << " {" << (quantized[i] ? qtag : "f32") << "}";
     os << " ";
     dump_cell(os, *this, ins.out);

@@ -325,6 +325,10 @@ struct CompiledProgram {
   /// for int8, bf16 weight copies for bf16.
   size_t static_bytes(quant::Precision p) const;
 
+  /// Name of instruction @p i as dump() prints it, with its variant suffix
+  /// (e.g. "binary.add", "gemm.nt", "fused_attention.masked").
+  std::string instr_name(size_t i) const;
+
   /// Human-readable schedule + buffer reuse map (plan-dump CLI). Each
   /// instruction is tagged with the dtype it executes at under @p p
   /// (quantizable gemms run i8/bf16, everything else stays f32), and the
@@ -379,6 +383,13 @@ class ProgramExec {
   /// Pass nullptr to stop capturing.
   void capture_absmax(std::vector<float>* out);
 
+  /// Per-instruction profile: while @p ns is non-null, run() adds each
+  /// instruction's steady-clock nanoseconds into (*ns)[i] (schedule order;
+  /// the vector is sized and zeroed on installation). Timing reads the
+  /// clock around each instruction and changes no value computed. Pass
+  /// nullptr to stop; off, it costs a null test around each instruction.
+  void profile_ns(std::vector<uint64_t>* ns);
+
   /// Runs the plan: copies numel(in_shape) floats from @p in, executes the
   /// schedule, copies numel(out_shape) floats to @p out.
   void run(const float* in, float* out);
@@ -395,6 +406,7 @@ class ProgramExec {
   std::vector<float> calib_;
   bool calibrated_ = false;
   std::vector<float>* capture_ = nullptr;
+  std::vector<uint64_t>* profile_ = nullptr;
   std::vector<QuantGemm> qgemms_;
   std::vector<uint8_t> qscratch_;  // quantized-activation rows
   bool qready_ = false;

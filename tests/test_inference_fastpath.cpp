@@ -17,6 +17,7 @@
 #include "nn/plan.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/gradcheck.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/pool.hpp"
 
@@ -87,6 +88,35 @@ TEST(NoGradEquivalence, AttentionWithWamMaskBitwiseAcrossThreads) {
       no_grad_vals = model.forward(x, fwd_b).data();
     }
     EXPECT_EQ(with_grad.data(), no_grad_vals) << "threads=" << threads;
+  }
+}
+
+// The no-grad layer norm runs rows as lanes in blocks of 16; the grad path
+// keeps the one-row kernel (it also stashes the normalized rows). Row counts
+// around the block size leave partial blocks, and widths past 32 take the
+// chunked transpose.
+TEST(NoGradEquivalence, LayerNormRowsMatchRowKernelBitwise) {
+  t::Rng rng(31);
+  for (size_t rows : {1UL, 5UL, 15UL, 16UL, 17UL, 40UL}) {
+    for (size_t width : {1UL, 7UL, 32UL, 33UL, 70UL}) {
+      std::vector<float> x(rows * width);
+      std::vector<float> gamma(width);
+      std::vector<float> beta(width);
+      for (float& v : x) v = rng.uniform(-3.0F, 3.0F);
+      for (float& v : gamma) v = rng.uniform(0.5F, 1.5F);
+      for (float& v : beta) v = rng.uniform(-0.5F, 0.5F);
+      std::vector<float> want(rows * width);
+      std::vector<float> normed(width);
+      for (size_t r = 0; r < rows; ++r) {
+        t::kern::layer_norm_affine_row(x.data() + r * width, gamma.data(),
+                                       beta.data(), want.data() + r * width,
+                                       normed.data(), width, 1e-5F);
+      }
+      std::vector<float> got(rows * width, -1.0F);
+      t::kern::layer_norm_affine_rows(x.data(), gamma.data(), beta.data(),
+                                      got.data(), rows, width, 1e-5F);
+      EXPECT_EQ(want, got) << "rows=" << rows << " width=" << width;
+    }
   }
 }
 

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "nn/plan.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/plan.hpp"
 #include "tensor/pool.hpp"
 #include "tensor/tensor.hpp"
 
@@ -165,6 +167,129 @@ TEST(PlanEquivalence, PredictWithInstalledMasksMatchesEager) {
   }
   for (size_t i = 0; i < eager.size(); ++i) {
     expect_same_floats(eager[i], planned[i], "masked predict planned vs eager");
+  }
+}
+
+// -- lane-parallel attention and layer norm: every shape edge ---------------
+
+// The planned fused attention runs one group's query rows as vector lanes and
+// the planned layer norm runs blocks of 16 rows as lanes. This sweep covers
+// the edges of both layouts: sequence lengths below, at and past the
+// 16-key row-max split and the 8-wide remainders (S), head dims that do and
+// do not fill the 4-column context blocks (Dh), B*S row counts that leave a
+// partial layer-norm block, no mask / a random mask / a mask with an
+// all-zero row (the eps path), and attention weights scaled up so the
+// logits spread far enough to hit fast_expf's clamp.
+TEST(PlanEquivalence, LaneKernelsMatchEagerAcrossShapes) {
+  ThreadGuard guard;
+  RegistryReset reset;
+  for (size_t seq : {1UL, 5UL, 8UL, 16UL, 17UL, 24UL, 33UL, 64UL}) {
+    for (size_t dh : {4UL, 8UL, 16UL}) {
+      const nn::TransformerConfig cfg{.n_tokens = seq, .d_model = 32,
+                                      .n_heads = 32 / dh, .n_layers = 1,
+                                      .d_ff = 32, .n_outputs = 2};
+      t::Rng rng(1000 + 37 * seq + dh);
+      nn::TransformerRegressor model(cfg, rng);
+      // q and k scale by 16 each: scores ~256x their init spread, far past
+      // the -87.3 exp clamp once the row max is subtracted
+      for (auto& p : model.attention_layer(0).parameters()) {
+        for (float& x : p.data()) x *= 16.0F;
+      }
+      t::Rng mr(7 + seq);
+      std::vector<float> random_mask(seq * seq);
+      for (float& x : random_mask) x = mr.uniform(0.05F, 1.0F);
+      std::vector<float> zero_row_mask = random_mask;
+      for (size_t j = 0; j < seq; ++j) zero_row_mask[(seq / 2) * seq + j] = 0.0F;
+      for (size_t i = 0; i < zero_row_mask.size(); i += 5) {
+        zero_row_mask[i] = 0.0F;
+      }
+      for (int variant = 0; variant < 3; ++variant) {
+        model.clear_masks();
+        if (variant > 0) {
+          model.install_mask_all_layers(t::Tensor::from_vector(
+              {seq, seq}, variant == 1 ? random_mask : zero_row_mask));
+        }
+        for (size_t batch : {1UL, 3UL, 16UL}) {
+          std::string why;
+          auto prog = plan::compile_predict(model, batch, true, &why);
+          ASSERT_TRUE(prog) << why;
+          bool fused = false;
+          for (size_t i = 0; i < prog->instrs.size(); ++i) {
+            fused |= prog->instr_name(i).starts_with("fused_attention");
+          }
+          ASSERT_TRUE(fused) << "S=" << seq << " Dh=" << dh;
+          const auto rows = feature_rows(batch, seq, 9 * seq + batch);
+          std::vector<std::vector<float>> eager;
+          {
+            plan::PlanModeGuard off(false);
+            eager = model.predict_batch(rows);
+          }
+          for (size_t threads : kThreadSweep) {
+            metadse::set_threads(threads);
+            const uint64_t fallbacks =
+                plan::PlanRegistry::instance().stats().fallbacks;
+            std::vector<std::vector<float>> planned;
+            {
+              plan::PlanModeGuard on(true);
+              planned = model.predict_batch(rows);
+            }
+            ASSERT_EQ(plan::PlanRegistry::instance().stats().fallbacks,
+                      fallbacks)
+                << "planned predict fell back to eager";
+            ASSERT_EQ(eager.size(), planned.size());
+            for (size_t i = 0; i < eager.size(); ++i) {
+              expect_same_floats(eager[i], planned[i],
+                                 "lane kernels planned vs eager");
+            }
+          }
+          metadse::set_threads(1);
+        }
+      }
+    }
+  }
+}
+
+// Profiling reads the clock around each instruction and must not touch a
+// value: a profiled run gives the unprofiled (and eager) bits, and fills one
+// timing slot per instruction.
+TEST(PlanEquivalence, ProfiledRunMatchesUnprofiledBitwise) {
+  RegistryReset reset;
+  t::Rng rng(59);
+  nn::TransformerRegressor model(small_cfg(), rng);
+  std::vector<float> m(24 * 24);
+  for (float& x : m) x = rng.uniform(0.05F, 1.0F);
+  model.install_mask_all_layers(t::Tensor::from_vector({24, 24}, m));
+  const size_t batch = 8;
+  std::string why;
+  auto prog = plan::compile_predict(model, batch, true, &why);
+  ASSERT_TRUE(prog) << why;
+  t::plan::ProgramExec exec(prog);
+  ASSERT_TRUE(plan::bind_predict_externals(exec, model));
+  const auto rows = feature_rows(batch, 24, 61);
+  std::vector<float> in;
+  for (const auto& r : rows) in.insert(in.end(), r.begin(), r.end());
+  std::vector<float> plain(batch);
+  std::vector<float> profiled(batch);
+  exec.run(in.data(), plain.data());
+  std::vector<uint64_t> ns;
+  exec.profile_ns(&ns);
+  exec.run(in.data(), profiled.data());
+  exec.profile_ns(nullptr);
+  expect_same_floats(plain, profiled, "profiled vs unprofiled run");
+  ASSERT_EQ(ns.size(), prog->instrs.size());
+  uint64_t total = 0;
+  for (const uint64_t v : ns) total += v;
+  EXPECT_GT(total, 0U);
+  const std::vector<uint64_t> before = ns;
+  exec.run(in.data(), profiled.data());
+  EXPECT_EQ(ns, before) << "a detached profile must not be written";
+  std::vector<std::vector<float>> eager;
+  {
+    plan::PlanModeGuard off(false);
+    eager = model.predict_batch(rows);
+  }
+  for (size_t i = 0; i < batch; ++i) {
+    expect_same_floats(eager[i], {profiled[i]}, "profiled run vs eager");
   }
 }
 

@@ -889,23 +889,87 @@ int cmd_serve(const Args& args) {
   return stats.failed == 0 ? 0 : 1;
 }
 
+/// Times each instruction of @p prog over @p runs planned predicts of
+/// random features inside a SerialRegionGuard (one thread, as a served
+/// session runs) and prints the median µs and share of each instruction.
+/// int8 first captures a calibration table from the same input.
+void print_plan_profile(
+    const std::shared_ptr<const tensor::plan::CompiledProgram>& prog,
+    const nn::TransformerRegressor& model, size_t batch,
+    tensor::quant::Precision precision, size_t runs, tensor::Rng& rng) {
+  tensor::plan::ProgramExec exec(prog);
+  if (!nn::plan::bind_predict_externals(exec, model)) {
+    throw std::logic_error("plan-dump: external slot count mismatch");
+  }
+  std::vector<float> in(batch * model.config().n_tokens);
+  for (float& x : in) x = rng.uniform(0.0F, 1.0F);
+  std::vector<float> out(batch * model.config().n_outputs);
+  if (precision == tensor::quant::Precision::kInt8) {
+    std::vector<float> table;
+    exec.capture_absmax(&table);
+    exec.run(in.data(), out.data());
+    exec.capture_absmax(nullptr);
+    exec.set_calibration(std::move(table));
+  }
+  exec.set_precision(precision);
+  core::SerialRegionGuard serial;
+  for (int i = 0; i < 3; ++i) exec.run(in.data(), out.data());  // warm-up
+  const size_t n = prog->instrs.size();
+  std::vector<std::vector<uint64_t>> samples(n, std::vector<uint64_t>(runs));
+  std::vector<uint64_t> ns;
+  for (size_t r = 0; r < runs; ++r) {
+    exec.profile_ns(&ns);
+    exec.run(in.data(), out.data());
+    for (size_t i = 0; i < n; ++i) samples[i][r] = ns[i];
+  }
+  exec.profile_ns(nullptr);
+  std::vector<double> med_us(n);
+  double total = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    auto& v = samples[i];
+    std::nth_element(v.begin(), v.begin() + runs / 2, v.end());
+    med_us[i] = static_cast<double>(v[runs / 2]) / 1e3;
+    total += med_us[i];
+  }
+  std::printf("profile (%zu runs, batch %zu, serial; median us, share):\n",
+              runs, batch);
+  for (size_t i = 0; i < n; ++i) {
+    std::printf("  [%zu] %-26s %10.2f us %6.2f%%\n", i,
+                prog->instr_name(i).c_str(), med_us[i],
+                total > 0.0 ? 100.0 * med_us[i] / total : 0.0);
+  }
+  std::printf("profile total: %.2f us (sum of medians)\n", total);
+}
+
 /// Compiles the eval-mode predict plan for the paper's predictor at the
 /// requested batch size and prints its registry key, op schedule, buffer
 /// reuse map, and static footprint. Plan structure depends only on shapes,
 /// never on weights, so a fresh model dumps the exact program every trained
-/// replica of the same architecture shares.
+/// replica of the same architecture shares. --masked installs a strictly
+/// positive [n_tokens, n_tokens] mask in every layer, as WAM adaptation
+/// does; --profile N times each instruction over N runs (default 200).
 int cmd_plan_dump(const Args& args) {
-  static constexpr std::string_view kFlags[] = {"batch", "no-fuse",
-                                                "precision", "seed"};
+  static constexpr std::string_view kFlags[] = {
+      "batch", "no-fuse", "precision", "seed", "masked", "profile"};
   args.only("plan-dump", {kFlags});
   const long batch_arg = args.num("batch", 1);
   if (batch_arg < 1) throw UsageError("plan-dump: --batch must be >= 1");
   const size_t batch = static_cast<size_t>(batch_arg);
+  const long runs =
+      args.str("profile").empty() ? 200 : args.num("profile", 200);
+  if (runs < 1) throw UsageError("plan-dump: --profile must be >= 1");
   const bool fuse = !args.has("no-fuse");
   const tensor::quant::Precision precision = precision_from(args);
   core::FrameworkOptions opts;
   tensor::Rng rng(static_cast<uint64_t>(args.num("seed", 2025)));
   nn::TransformerRegressor model(opts.predictor, rng);
+  if (args.has("masked")) {
+    const size_t s = opts.predictor.n_tokens;
+    std::vector<float> m(s * s);
+    for (float& x : m) x = rng.uniform(0.05F, 1.0F);
+    model.install_mask_all_layers(
+        tensor::Tensor::from_vector({s, s}, std::move(m)));
+  }
   const std::string key =
       nn::plan::predict_plan_key(model, batch, fuse, precision);
   std::string why;
@@ -922,6 +986,10 @@ int cmd_plan_dump(const Args& args) {
               prog->instrs.size());
   std::printf("peak static bytes: %zu (arena %zu floats, consts %zu floats)\n",
               prog->static_bytes(), prog->arena_floats, prog->consts.size());
+  if (args.has("profile")) {
+    print_plan_profile(prog, model, batch, precision,
+                       static_cast<size_t>(runs), rng);
+  }
   return 0;
 }
 
@@ -978,9 +1046,12 @@ void usage() {
       "                     tier; int8 writes <ckpt>.calib and both tiers\n"
       "                     fall back to fp32 if the rank-correlation error\n"
       "                     contract trips — DESIGN.md §15)\n"
-      "  plan-dump [--batch B --no-fuse --precision P]\n"
+      "  plan-dump [--batch B --no-fuse --precision P --masked --profile N]\n"
       "                     compiled predict-plan schedule, per-instruction\n"
-      "                     dtypes, buffer reuse map and static footprint\n"
+      "                     dtypes, buffer reuse map and static footprint;\n"
+      "                     --masked installs WAM-style masks, --profile N\n"
+      "                     prints each instruction's median us and share\n"
+      "                     over N serial runs (default 200)\n"
       "  serve    --ckpt F --journal-dir D [--sessions N --replicas R\n"
       "                     --workers W --queue-capacity Q\n"
       "                     --admission block|reject|shed --arrival-ms A\n"
