@@ -66,6 +66,36 @@ void BM_TransformerForwardBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_TransformerForwardBackward)->Arg(5)->Arg(45);
 
+/// One matmul backward (dA and dB) at the meta-trainer's two hot shapes:
+/// 0 = [45,24,32]·[32,64] (a broadcast-weight Linear, dW summed over 45
+/// batches), 1 = [180,24,24]·[180,24,8] (attention probabilities times
+/// values). The graph is built once; each iteration reruns the matmul's
+/// backward closure, which accumulates into the same leaf grads.
+void BM_MatmulBackward(benchmark::State& state) {
+  const bool attn = state.range(0) == 1;
+  const tensor::Shape sa = attn ? tensor::Shape{180, 24, 24}
+                                : tensor::Shape{45, 24, 32};
+  const tensor::Shape sb = attn ? tensor::Shape{180, 24, 8}
+                                : tensor::Shape{32, 64};
+  tensor::Rng rng(9);
+  auto a = tensor::Tensor::randn(sa, rng, 1.0F, /*requires_grad=*/true);
+  auto b = tensor::Tensor::randn(sb, rng, 1.0F, /*requires_grad=*/true);
+  auto out = tensor::matmul(a, b);
+  tensor::Node& node = *out.node();
+  node.grad = tensor::Tensor::randn(out.shape(), rng).data();
+  a.node()->ensure_grad();
+  b.node()->ensure_grad();
+  for (auto _ : state) {
+    node.backward_fn(node);
+    benchmark::DoNotOptimize(a.grad().data());
+    benchmark::DoNotOptimize(b.grad().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * tensor::numel(out.shape()) *
+                          sa.back());
+}
+BENCHMARK(BM_MatmulBackward)->Arg(0)->Arg(1);
+
 // -- inference fast path ------------------------------------------------------
 //
 // BM_TransformerPredictOne is the seed's grad-mode single-point forward (the
@@ -316,26 +346,13 @@ void BM_MamlAdaptClone(benchmark::State& state) {
 }
 BENCHMARK(BM_MamlAdaptClone)->Arg(1)->Arg(2)->Arg(8);
 
-// -- thread-pool scaling sweeps ---------------------------------------------
+// -- thread-pool scaling sweep ----------------------------------------------
 //
-// The speedup story of the parallel subsystem: the same GEMM / MAML-epoch
-// work at pool widths 1/2/4/8. Results are bitwise identical across the
-// sweep (see tests/test_parallel_equivalence.cpp); only wall-clock should
-// move. Emit machine-readable numbers with --benchmark_format=json.
-
-void BM_MatmulThreadsSweep(benchmark::State& state) {
-  metadse::set_threads(static_cast<size_t>(state.range(0)));
-  const size_t n = 256;
-  tensor::Rng rng(8);
-  auto a = tensor::Tensor::randn({n, n}, rng);
-  auto b = tensor::Tensor::randn({n, n}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tensor::matmul(a, b).data().data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-  metadse::set_threads(1);
-}
-BENCHMARK(BM_MatmulThreadsSweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+// The one coarse pool site that scales in training: a MAML epoch at pool
+// widths 1/2/4/8, parallel over meta-batch tasks. Results are bitwise
+// identical across the sweep (see tests/test_parallel_equivalence.cpp); only
+// wall-clock should move. Emit machine-readable numbers with
+// --benchmark_format=json.
 
 void BM_MamlEpochThreadsSweep(benchmark::State& state) {
   metadse::set_threads(static_cast<size_t>(state.range(0)));

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/chaos.hpp"
-#include "core/parallel.hpp"
 #include "nn/fused.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/ops.hpp"
@@ -650,8 +649,9 @@ void replay_unary(const RStep& s) {
   }
 }
 
-/// Same loop structure (and therefore the same bits and the same thread-count
-/// invariance) as ops.cpp's gemm_forward / gemm_nt_forward.
+/// Same loop structure (and therefore the same bits) as ops.cpp's
+/// gemm_forward / gemm_nt_forward: serial on the calling thread, like every
+/// eager training GEMM.
 void replay_gemm(const RStep& s) {
   const float* a = s.a->value.data();
   const float* b = s.b->value.data();
@@ -659,22 +659,18 @@ void replay_gemm(const RStep& s) {
   const size_t nb = s.aoff.size();
   const size_t o_mat = s.M * s.N;
   if (!s.flag) {
-    core::parallel_for_blocks_static(
-        s.M, kern::gemm_row_grain(s.K * s.N * nb), [&](size_t m0, size_t m1) {
-          for (size_t bi = 0; bi < nb; ++bi) {
-            const float* pa = a + s.aoff[bi];
-            const float* pb = b + s.boff[bi];
-            float* po = c + bi * o_mat;
-            kern::gemm_rows<true>(pa, pb, po, m0, m1, 0,
-                                  std::min(s.K, kern::kGemmKTile), s.K, s.N);
-            for (size_t k0 = kern::kGemmKTile; k0 < s.K;
-                 k0 += kern::kGemmKTile) {
-              kern::gemm_rows<false>(pa, pb, po, m0, m1, k0,
-                                     std::min(s.K, k0 + kern::kGemmKTile),
-                                     s.K, s.N);
-            }
-          }
-        });
+    for (size_t bi = 0; bi < nb; ++bi) {
+      const float* pa = a + s.aoff[bi];
+      const float* pb = b + s.boff[bi];
+      float* po = c + bi * o_mat;
+      kern::gemm_rows<true>(pa, pb, po, 0, s.M, 0,
+                            std::min(s.K, kern::kGemmKTile), s.K, s.N);
+      for (size_t k0 = kern::kGemmKTile; k0 < s.K; k0 += kern::kGemmKTile) {
+        kern::gemm_rows<false>(pa, pb, po, 0, s.M, k0,
+                               std::min(s.K, k0 + kern::kGemmKTile), s.K,
+                               s.N);
+      }
+    }
     return;
   }
   const size_t b_mat = s.K * s.N;
@@ -686,13 +682,10 @@ void replay_gemm(const RStep& s) {
       for (size_t k = 0; k < s.K; ++k) pt[k * s.N + n] = pb[n * s.K + k];
     }
   }
-  core::parallel_for_blocks_static(
-      s.M, kern::gemm_row_grain(s.K * s.N * nb), [&](size_t m0, size_t m1) {
-        for (size_t bi = 0; bi < nb; ++bi) {
-          kern::gemm_rows<true>(a + s.aoff[bi], bt.data() + bi * b_mat,
-                                c + bi * o_mat, m0, m1, 0, s.K, s.K, s.N);
-        }
-      });
+  for (size_t bi = 0; bi < nb; ++bi) {
+    kern::gemm_rows<true>(a + s.aoff[bi], bt.data() + bi * b_mat,
+                          c + bi * o_mat, 0, s.M, 0, s.K, s.K, s.N);
+  }
   t::BufferPool::release(std::move(bt));
 }
 

@@ -4,9 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/plan.hpp"
 #include "tensor/pool.hpp"
@@ -45,43 +45,37 @@ Tensor pooled_scalar(float v) {
 
 // -- blocked GEMM kernels ----------------------------------------------------
 //
-// The three kernels below (C = A*B, dA = dC*B^T, dB = A^T*dC) partition one
-// index axis into contiguous row blocks across the thread pool and tile the
-// reduction axis for cache reuse. Every output element accumulates its
-// reduction terms in ascending order regardless of block boundaries or tile
-// size, so results are bitwise identical to the serial triple loop for any
-// thread count. The gradient kernels give each thread exclusive ownership of
-// an output row *across all batches* (batch iterated innermost-serially):
-// when a broadcast batch maps several batch indices onto the same gradient
-// matrix, the accumulation order per element still matches the serial
-// bi-major order.
+// The kernels below (C = A*B, dA = dC*B^T, dB = A^T*dC and their matmul_nt
+// duals) run serially on the calling thread and tile the reduction axis for
+// cache reuse. They do not split rows across the pool: every training GEMM
+// already runs inline inside a MAML task on a pool worker, and at this model
+// size the row split made the one top-level caller (adapt_to) slower. Every
+// output element accumulates its reduction terms in ascending order
+// regardless of tile size, so results are bitwise identical to the serial
+// triple loop. The gradient kernels iterate batches outermost: when a
+// broadcast batch maps several batch indices onto the same gradient matrix,
+// each element's accumulation runs in bi-major order.
 
-using kern::gemm_row_grain;
 using kern::kGemmKTile;
 
-/// C[bi] = A[bi] * B[bi] for all batches, rows split across the pool. The
-/// first K-slice writes through zero-initialized accumulators, so c does NOT
-/// need to be pre-zeroed.
+/// C[bi] = A[bi] * B[bi] for all batches. The first K-slice writes through
+/// zero-initialized accumulators, so c does NOT need to be pre-zeroed.
 void gemm_forward(const float* a, const float* b, float* c,
                   const std::vector<size_t>& aoff,
                   const std::vector<size_t>& boff, size_t M, size_t K,
                   size_t N) {
   const size_t nb = aoff.size();
   const size_t o_mat = M * N;
-  core::parallel_for_blocks_static(M, gemm_row_grain(K * N * nb), [&](size_t m0,
-                                                               size_t m1) {
-    for (size_t bi = 0; bi < nb; ++bi) {
-      const float* pa = a + aoff[bi];
-      const float* pb = b + boff[bi];
-      float* po = c + bi * o_mat;
-      kern::gemm_rows<true>(pa, pb, po, m0, m1, 0, std::min(K, kGemmKTile), K,
-                            N);
-      for (size_t k0 = kGemmKTile; k0 < K; k0 += kGemmKTile) {
-        kern::gemm_rows<false>(pa, pb, po, m0, m1, k0,
-                               std::min(K, k0 + kGemmKTile), K, N);
-      }
+  for (size_t bi = 0; bi < nb; ++bi) {
+    const float* pa = a + aoff[bi];
+    const float* pb = b + boff[bi];
+    float* po = c + bi * o_mat;
+    kern::gemm_rows<true>(pa, pb, po, 0, M, 0, std::min(K, kGemmKTile), K, N);
+    for (size_t k0 = kGemmKTile; k0 < K; k0 += kGemmKTile) {
+      kern::gemm_rows<false>(pa, pb, po, 0, M, k0,
+                             std::min(K, k0 + kGemmKTile), K, N);
     }
-  });
+  }
 }
 
 /// Width-T block of one gradient row kept in registers while @p n
@@ -109,12 +103,12 @@ size_t saxpy_panel(float* __restrict dst, size_t j0, size_t J, size_t n,
   return j0;
 }
 
-/// Full gradient row update dst[j] += sum_i coef(i) * row(i)[j] via
-/// register panels of descending width plus a scalar tail.
+/// Gradient row update dst[j] += sum_i coef(i) * row(i)[j] for columns
+/// [j0, J) via register panels of descending width plus a scalar tail.
 template <typename CoefFn, typename RowFn>
-void saxpy_row(float* __restrict dst, size_t J, size_t n, CoefFn coef,
-               RowFn row) {
-  size_t j0 = saxpy_panel<16>(dst, 0, J, n, coef, row);
+void saxpy_row(float* __restrict dst, size_t j0, size_t J, size_t n,
+               CoefFn coef, RowFn row) {
+  j0 = saxpy_panel<16>(dst, j0, J, n, coef, row);
   j0 = saxpy_panel<8>(dst, j0, J, n, coef, row);
   j0 = saxpy_panel<4>(dst, j0, J, n, coef, row);
   for (; j0 < J; ++j0) {
@@ -124,67 +118,183 @@ void saxpy_row(float* __restrict dst, size_t J, size_t n, CoefFn coef,
   }
 }
 
-/// dA[bi] += dC[bi] * B[bi]^T; a thread owns rows [m0, m1) of dA for every
-/// batch, so broadcast-shared dA rows accumulate in serial bi-major order.
-/// B is packed into B^T once (pooled scratch) so the saxpy inner loop reads
-/// contiguously — same terms, same ascending-n order per element, just a
-/// different address pattern. The __restrict qualifiers are sound: go/b/da
-/// are always three distinct buffers (an op output's grad, a parent's value,
-/// a parent's grad).
+/// L floats as one GCC/Clang vector-extension value. Arithmetic on it is
+/// lane-wise IEEE single precision — `acc += c * v` is one rounded mul then
+/// one rounded add per lane under -ffp-contract=off — so a tile built from
+/// it computes exactly what the scalar panels compute. (A plain float
+/// acc[R][16] array does not stay in registers at R > 1 and compiles to
+/// scalar code.) Spelled as explicit specializations: GCC drops vector_size
+/// on a dependent alias template.
+template <size_t L>
+struct F32xL;
+template <>
+struct F32xL<4> {
+  using type = float __attribute__((vector_size(16)));
+};
+template <>
+struct F32xL<8> {
+  using type = float __attribute__((vector_size(32)));
+};
+template <>
+struct F32xL<16> {
+  using type = float __attribute__((vector_size(64)));
+};
+
+/// Floats per native vector register of the build target. Tiles are built
+/// from vectors of this width: a vector wider than the target's registers
+/// is lowered piecewise through memory and runs slower than scalar panels.
+#if defined(__AVX512F__)
+constexpr size_t kLanes = 16;
+#elif defined(__AVX__)
+constexpr size_t kLanes = 8;
+#else
+constexpr size_t kLanes = 4;
+#endif
+
+/// Gradient rows per register tile: eight accumulator registers for a
+/// 16-column tile (8 rows with AVX-512, 4 with AVX, 2 with SSE).
+constexpr size_t kTileRows = 8 * kLanes / 16;
+
+/// R-row x W-column register tile of a gradient block: dst row r gets
+/// dst[r][j] += coef(i, r) * row(i)[j] for i ascending, j in [j0, j0+W).
+/// The R rows advance through the reduction together, so each streamed row
+/// is loaded once and reused R times, and the tile holds independent
+/// accumulator vectors to cover add latency. Each element still starts from
+/// its stored grad and receives one rounded mul+add per i in ascending order
+/// — the backward dual of kern::gemm_row_tile, bitwise equal to saxpy_row.
+template <size_t R, size_t W, typename CoefFn, typename RowFn>
+void saxpy_tile(float* __restrict dst, size_t ldd, size_t j0, size_t n,
+                CoefFn coef, RowFn row) {
+  constexpr size_t L = std::min(W, kLanes);
+  constexpr size_t P = W / L;  // vectors per tile row
+  using V = typename F32xL<L>::type;
+  static_assert(sizeof(V) == L * sizeof(float));
+  V acc[R][P];
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t p = 0; p < P; ++p) {
+      std::memcpy(&acc[r][p], dst + r * ldd + j0 + p * L, sizeof(V));
+    }
+  }
+  for (size_t i = 0; i < n; ++i) {
+    V v[P];
+    for (size_t p = 0; p < P; ++p) {
+      std::memcpy(&v[p], row(i) + j0 + p * L, sizeof(V));
+    }
+    for (size_t r = 0; r < R; ++r) {
+      const float c = coef(i, r);
+      for (size_t p = 0; p < P; ++p) acc[r][p] += c * v[p];
+    }
+  }
+  for (size_t r = 0; r < R; ++r) {
+    for (size_t p = 0; p < P; ++p) {
+      std::memcpy(dst + r * ldd + j0 + p * L, &acc[r][p], sizeof(V));
+    }
+  }
+}
+
+/// Gradient block update over @p rows rows of width J (row stride @p ldd):
+/// dst[r][j] += sum_i coef(i, r) * row(i)[j], i ascending. Rows go
+/// kTileRows at a time through R x 16 register tiles, then one R x 8 tile
+/// when at least eight columns remain; the last J % 8 columns of each row
+/// group and the last rows % R rows go through the one-row saxpy_row
+/// panels. Only which independent chains share registers differs between
+/// these, so the split is bitwise invisible.
+template <typename CoefFn, typename RowFn>
+void saxpy_rows(float* __restrict dst, size_t ldd, size_t rows, size_t J,
+                size_t n, CoefFn coef, RowFn row) {
+  constexpr size_t R = kTileRows;
+  const size_t J16 = J - J % 16;
+  const size_t J8 = J - J % 8;
+  size_t r0 = 0;
+  for (; r0 + R <= rows; r0 += R) {
+    float* __restrict d = dst + r0 * ldd;
+    const auto tile_coef = [&](size_t i, size_t r) { return coef(i, r0 + r); };
+    for (size_t j0 = 0; j0 < J16; j0 += 16) {
+      saxpy_tile<R, 16>(d, ldd, j0, n, tile_coef, row);
+    }
+    if (J8 > J16) saxpy_tile<R, 8>(d, ldd, J16, n, tile_coef, row);
+    if (J8 == J) continue;
+    for (size_t r = 0; r < R; ++r) {
+      saxpy_row(
+          d + r * ldd, J8, J, n, [&](size_t i) { return coef(i, r0 + r); },
+          row);
+    }
+  }
+  for (; r0 < rows; ++r0) {
+    saxpy_row(
+        dst + r0 * ldd, 0, J, n, [&](size_t i) { return coef(i, r0); }, row);
+  }
+}
+
+/// True when a batched product is one plain 2-D product in disguise: the
+/// right operand is broadcast (every boff equal, e.g. a Linear weight) and
+/// the left operand's batches lie back to back (aoff[bi] = bi * a_mat), as
+/// does the output grad. The gradient kernels then treat the batch as one
+/// [nb*M, K] x [K, N] product. Each dA row still belongs to one batch and
+/// keeps its ascending chain, and dB's reduction over the nb*M rows in row
+/// order is exactly the bi-major, ascending-m chain of the per-batch loop —
+/// but B is packed once instead of nb times and the dB accumulator tiles
+/// stay in registers across batches.
+bool flat_batches(const std::vector<size_t>& aoff,
+                  const std::vector<size_t>& boff, size_t a_mat) {
+  if (aoff.empty()) return false;
+  for (size_t bi = 0; bi < aoff.size(); ++bi) {
+    if (aoff[bi] != bi * a_mat || boff[bi] != boff[0]) return false;
+  }
+  return true;
+}
+
+/// dA[bi] += dC[bi] * B[bi]^T. B is packed into B^T once (pooled scratch) so
+/// the tile's streamed rows read contiguously — same terms, same ascending-n
+/// order per element, just a different address pattern. The __restrict
+/// qualifiers are sound: go/b/da are always three distinct buffers (an op
+/// output's grad, a parent's value, a parent's grad).
 void gemm_backward_a(const float* __restrict go, const float* __restrict b,
                      float* __restrict da, const std::vector<size_t>& aoff,
                      const std::vector<size_t>& boff, size_t M, size_t K,
                      size_t N) {
-  const size_t nb = aoff.size();
+  const bool flat = flat_batches(aoff, boff, M * K);
+  const size_t groups = flat ? 1 : aoff.size();
+  const size_t rows = flat ? aoff.size() * M : M;
   const size_t o_mat = M * N;
   const size_t b_mat = K * N;
-  std::vector<float> btv = BufferPool::acquire(nb * b_mat);
+  std::vector<float> btv = BufferPool::acquire(groups * b_mat);
   float* __restrict bt = btv.data();
-  for (size_t bi = 0; bi < nb; ++bi) {
+  for (size_t bi = 0; bi < groups; ++bi) {
     const float* pb = b + boff[bi];
     float* pt = bt + bi * b_mat;
     for (size_t n = 0; n < N; ++n) {
       for (size_t k = 0; k < K; ++k) pt[n * K + k] = pb[k * N + n];
     }
   }
-  core::parallel_for_blocks_static(M, gemm_row_grain(K * N * nb), [&](size_t m0,
-                                                               size_t m1) {
-    for (size_t bi = 0; bi < nb; ++bi) {
-      const float* __restrict pbt = bt + bi * b_mat;
-      const float* __restrict g = go + bi * o_mat;
-      float* __restrict pda = da + aoff[bi];
-      for (size_t m = m0; m < m1; ++m) {
-        const float* gm = g + m * N;
-        saxpy_row(
-            pda + m * K, K, N, [&](size_t n) { return gm[n]; },
-            [&](size_t n) { return pbt + n * K; });
-      }
-    }
-  });
+  for (size_t bi = 0; bi < groups; ++bi) {
+    const float* __restrict pbt = bt + bi * b_mat;
+    const float* __restrict g = go + bi * o_mat;
+    saxpy_rows(
+        da + aoff[bi], K, rows, K, N,
+        [&](size_t n, size_t m) { return g[m * N + n]; },
+        [&](size_t n) { return pbt + n * K; });
+  }
   BufferPool::release(std::move(btv));
 }
 
-/// dB[bi] += A[bi]^T * dC[bi]; a thread owns rows [k0, k1) of dB for every
-/// batch (same broadcast-safety argument as gemm_backward_a).
+/// dB[bi] += A[bi]^T * dC[bi].
 void gemm_backward_b(const float* __restrict a, const float* __restrict go,
                      float* __restrict db, const std::vector<size_t>& aoff,
                      const std::vector<size_t>& boff, size_t M, size_t K,
                      size_t N) {
-  const size_t nb = aoff.size();
+  const bool flat = flat_batches(aoff, boff, M * K);
+  const size_t groups = flat ? 1 : aoff.size();
+  const size_t red = flat ? aoff.size() * M : M;
   const size_t o_mat = M * N;
-  core::parallel_for_blocks_static(K, gemm_row_grain(M * N * nb), [&](size_t k0,
-                                                               size_t k1) {
-    for (size_t bi = 0; bi < nb; ++bi) {
-      const float* __restrict pa = a + aoff[bi];
-      const float* __restrict g = go + bi * o_mat;
-      float* __restrict pdb = db + boff[bi];
-      for (size_t k = k0; k < k1; ++k) {
-        saxpy_row(
-            pdb + k * N, N, M, [&](size_t m) { return pa[m * K + k]; },
-            [&](size_t m) { return g + m * N; });
-      }
-    }
-  });
+  for (size_t bi = 0; bi < groups; ++bi) {
+    const float* __restrict pa = a + aoff[bi];
+    const float* __restrict g = go + bi * o_mat;
+    saxpy_rows(
+        db + boff[bi], N, K, N, red,
+        [&](size_t m, size_t k) { return pa[m * K + k]; },
+        [&](size_t m) { return g + m * N; });
+  }
 }
 
 // -- transpose-aware GEMM (C = A * B^T with B stored row-major [N, K]) --------
@@ -210,65 +320,53 @@ void gemm_nt_forward(const float* a, const float* b, float* c,
       for (size_t k = 0; k < K; ++k) pt[k * N + n] = pb[n * K + k];
     }
   }
-  core::parallel_for_blocks_static(M, gemm_row_grain(K * N * nb), [&](size_t m0,
-                                                               size_t m1) {
-    for (size_t bi = 0; bi < nb; ++bi) {
-      kern::gemm_rows<true>(a + aoff[bi], bt.data() + bi * b_mat,
-                            c + bi * o_mat, m0, m1, 0, K, K, N);
-    }
-  });
+  for (size_t bi = 0; bi < nb; ++bi) {
+    kern::gemm_rows<true>(a + aoff[bi], bt.data() + bi * b_mat,
+                          c + bi * o_mat, 0, M, 0, K, K, N);
+  }
   // Hand the packed panel back to the pool: the next matmul_nt of this shape
   // (the same attention score product, one inner-loop step later) re-packs
   // into the identical storage instead of allocating.
   BufferPool::release(std::move(bt));
 }
 
-/// dA[bi][m,k] += sum_n dC[bi][m,n] * B[bi][n,k]; a thread owns rows
-/// [m0, m1) of dA for every batch — ascending-n accumulation matches the
-/// serial order for any thread count.
+/// dA[bi][m,k] += sum_n dC[bi][m,n] * B[bi][n,k] (flat_batches as in
+/// gemm_backward_a).
 void gemm_nt_backward_a(const float* __restrict go, const float* __restrict b,
                         float* __restrict da, const std::vector<size_t>& aoff,
                         const std::vector<size_t>& boff, size_t M, size_t K,
                         size_t N) {
-  const size_t nb = aoff.size();
+  const bool flat = flat_batches(aoff, boff, M * K);
+  const size_t groups = flat ? 1 : aoff.size();
+  const size_t rows = flat ? aoff.size() * M : M;
   const size_t o_mat = M * N;
-  core::parallel_for_blocks_static(M, gemm_row_grain(K * N * nb), [&](size_t m0,
-                                                               size_t m1) {
-    for (size_t bi = 0; bi < nb; ++bi) {
-      const float* __restrict pb = b + boff[bi];
-      const float* __restrict g = go + bi * o_mat;
-      float* __restrict pda = da + aoff[bi];
-      for (size_t m = m0; m < m1; ++m) {
-        const float* gm = g + m * N;
-        saxpy_row(
-            pda + m * K, K, N, [&](size_t n) { return gm[n]; },
-            [&](size_t n) { return pb + n * K; });
-      }
-    }
-  });
+  for (size_t bi = 0; bi < groups; ++bi) {
+    const float* __restrict pb = b + boff[bi];
+    const float* __restrict g = go + bi * o_mat;
+    saxpy_rows(
+        da + aoff[bi], K, rows, K, N,
+        [&](size_t n, size_t m) { return g[m * N + n]; },
+        [&](size_t n) { return pb + n * K; });
+  }
 }
 
-/// dB[bi][n,k] += sum_m dC[bi][m,n] * A[bi][m,k]; a thread owns rows
-/// [n0, n1) of dB for every batch.
+/// dB[bi][n,k] += sum_m dC[bi][m,n] * A[bi][m,k].
 void gemm_nt_backward_b(const float* __restrict go, const float* __restrict a,
                         float* __restrict db, const std::vector<size_t>& aoff,
                         const std::vector<size_t>& boff, size_t M, size_t K,
                         size_t N) {
-  const size_t nb = aoff.size();
+  const bool flat = flat_batches(aoff, boff, M * K);
+  const size_t groups = flat ? 1 : aoff.size();
+  const size_t red = flat ? aoff.size() * M : M;
   const size_t o_mat = M * N;
-  core::parallel_for_blocks_static(N, gemm_row_grain(M * K * nb), [&](size_t n0,
-                                                               size_t n1) {
-    for (size_t bi = 0; bi < nb; ++bi) {
-      const float* __restrict pa = a + aoff[bi];
-      const float* __restrict g = go + bi * o_mat;
-      float* __restrict pdb = db + boff[bi];
-      for (size_t n = n0; n < n1; ++n) {
-        saxpy_row(
-            pdb + n * K, K, M, [&](size_t m) { return g[m * N + n]; },
-            [&](size_t m) { return pa + m * K; });
-      }
-    }
-  });
+  for (size_t bi = 0; bi < groups; ++bi) {
+    const float* __restrict pa = a + aoff[bi];
+    const float* __restrict g = go + bi * o_mat;
+    saxpy_rows(
+        db + boff[bi], K, N, K, red,
+        [&](size_t m, size_t n) { return g[m * N + n]; },
+        [&](size_t m) { return pa + m * K; });
+  }
 }
 
 /// Per-batch base offsets for broadcast batch dims; @p a_mat / @p b_mat are
@@ -348,10 +446,6 @@ struct BcastIter {
   size_t oa_ = 0, ob_ = 0;
 };
 
-void accumulate_into(const std::shared_ptr<Node>& p, size_t off, float g) {
-  p->grad[off] += g;
-}
-
 /// True when @p small is exactly the trailing dims of @p big, so broadcasting
 /// reduces to `offset_small = i % numel(small)` (covers the scalar case).
 bool is_trailing_suffix(const Shape& small, const Shape& big) {
@@ -384,12 +478,22 @@ Tensor binary_bcast(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa,
           const bool gb = bn->requires_grad;
           if (ga) an->ensure_grad();
           if (gb) bn->ensure_grad();
-          for (size_t i = 0; i < self.value.size(); ++i) {
-            const float av = an->value[i];
-            const float bv = bn->value[i];
-            const float go = self.grad[i];
-            if (ga) an->grad[i] += go * dfa(av, bv, self.value[i]);
-            if (gb) bn->grad[i] += go * dfb(av, bv, self.value[i]);
+          const size_t len = self.value.size();
+          const float* __restrict av = an->value.data();
+          const float* __restrict bv = bn->value.data();
+          const float* __restrict go = self.grad.data();
+          const float* __restrict ov = self.value.data();
+          if (ga) {
+            float* __restrict g = an->grad.data();
+            for (size_t i = 0; i < len; ++i) {
+              g[i] += go[i] * dfa(av[i], bv[i], ov[i]);
+            }
+          }
+          if (gb) {
+            float* __restrict g = bn->grad.data();
+            for (size_t i = 0; i < len; ++i) {
+              g[i] += go[i] * dfb(av[i], bv[i], ov[i]);
+            }
           }
         });
   }
@@ -418,13 +522,36 @@ Tensor binary_bcast(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa,
           const bool gb = bn->requires_grad;
           if (ga) an->ensure_grad();
           if (gb) bn->ensure_grad();
-          for (size_t i0 = 0; i0 < self.value.size(); i0 += L) {
-            for (size_t j = 0; j < L; ++j) {
-              const float av = an->value[i0 + j];
-              const float bv = bn->value[j];
-              const float go = self.grad[i0 + j];
-              if (ga) an->grad[i0 + j] += go * dfa(av, bv, self.value[i0 + j]);
-              if (gb) bn->grad[j] += go * dfb(av, bv, self.value[i0 + j]);
+          const size_t len = self.value.size();
+          const float* __restrict av = an->value.data();
+          const float* __restrict bv = bn->value.data();
+          const float* __restrict go = self.grad.data();
+          const float* __restrict ov = self.value.data();
+          if (ga && L == 1) {
+            // Scalar operand: the blocked walk below would run a one-trip
+            // inner loop that never vectorizes. One flat loop vectorizes and
+            // lets the compiler hoist b-only work such as div's 1 / b (same
+            // operation, same operands, same bits); 13 vs 180+ us for the
+            // attention-score div backward at [180,24,24].
+            float* __restrict g = an->grad.data();
+            const float b0 = bv[0];
+            for (size_t i = 0; i < len; ++i) {
+              g[i] += go[i] * dfa(av[i], b0, ov[i]);
+            }
+          } else if (ga) {
+            float* __restrict g = an->grad.data();
+            for (size_t i0 = 0; i0 < len; i0 += L) {
+              for (size_t j = 0; j < L; ++j) {
+                g[i0 + j] += go[i0 + j] * dfa(av[i0 + j], bv[j], ov[i0 + j]);
+              }
+            }
+          }
+          if (gb) {
+            float* __restrict g = bn->grad.data();
+            for (size_t i0 = 0; i0 < len; i0 += L) {
+              for (size_t j = 0; j < L; ++j) {
+                g[j] += go[i0 + j] * dfb(av[i0 + j], bv[j], ov[i0 + j]);
+              }
             }
           }
         });
@@ -451,13 +578,25 @@ Tensor binary_bcast(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa,
           const bool gb = bn->requires_grad;
           if (ga) an->ensure_grad();
           if (gb) bn->ensure_grad();
-          for (size_t i0 = 0; i0 < self.value.size(); i0 += L) {
-            for (size_t j = 0; j < L; ++j) {
-              const float av = an->value[j];
-              const float bv = bn->value[i0 + j];
-              const float go = self.grad[i0 + j];
-              if (ga) an->grad[j] += go * dfa(av, bv, self.value[i0 + j]);
-              if (gb) bn->grad[i0 + j] += go * dfb(av, bv, self.value[i0 + j]);
+          const size_t len = self.value.size();
+          const float* __restrict av = an->value.data();
+          const float* __restrict bv = bn->value.data();
+          const float* __restrict go = self.grad.data();
+          const float* __restrict ov = self.value.data();
+          if (ga) {
+            float* __restrict g = an->grad.data();
+            for (size_t i0 = 0; i0 < len; i0 += L) {
+              for (size_t j = 0; j < L; ++j) {
+                g[j] += go[i0 + j] * dfa(av[j], bv[i0 + j], ov[i0 + j]);
+              }
+            }
+          }
+          if (gb) {
+            float* __restrict g = bn->grad.data();
+            for (size_t i0 = 0; i0 < len; i0 += L) {
+              for (size_t j = 0; j < L; ++j) {
+                g[i0 + j] += go[i0 + j] * dfb(av[j], bv[i0 + j], ov[i0 + j]);
+              }
             }
           }
         });
@@ -471,17 +610,25 @@ Tensor binary_bcast(const Tensor& a, const Tensor& b, Fwd fwd, Dfa dfa,
   return make_op_result(
       out_shape, std::move(out), {an, bn},
       [an, bn, dfa, dfb](Node& self) {
-        BcastIter g(an->shape, bn->shape);
         const bool ga = an->requires_grad;
         const bool gb = bn->requires_grad;
         if (ga) an->ensure_grad();
         if (gb) bn->ensure_grad();
-        for (size_t i = 0; i < g.n; ++i, g.advance()) {
-          const float av = an->value[g.offset_a()];
-          const float bv = bn->value[g.offset_b()];
-          const float go = self.grad[i];
-          if (ga) accumulate_into(an, g.offset_a(), go * dfa(av, bv, self.value[i]));
-          if (gb) accumulate_into(bn, g.offset_b(), go * dfb(av, bv, self.value[i]));
+        if (ga) {
+          BcastIter g(an->shape, bn->shape);
+          for (size_t i = 0; i < g.n; ++i, g.advance()) {
+            const float av = an->value[g.offset_a()];
+            const float bv = bn->value[g.offset_b()];
+            an->grad[g.offset_a()] += self.grad[i] * dfa(av, bv, self.value[i]);
+          }
+        }
+        if (gb) {
+          BcastIter g(an->shape, bn->shape);
+          for (size_t i = 0; i < g.n; ++i, g.advance()) {
+            const float av = an->value[g.offset_a()];
+            const float bv = bn->value[g.offset_b()];
+            bn->grad[g.offset_b()] += self.grad[i] * dfb(av, bv, self.value[i]);
+          }
         }
       });
 }

@@ -17,6 +17,33 @@
 
 namespace metadse::tensor::quant {
 
+#if defined(METADSE_QUANT_AVX512)
+namespace {
+
+// GCC 12 expands the unmasked forms of several AVX-512 intrinsics with an
+// _mm512_undefined_*() merge source, which -Wmaybe-uninitialized reports.
+// The kernels below use the maskz forms under an all-ones mask instead: the
+// same instructions, with a zero merge source that no lane ever selects.
+constexpr __mmask16 kAll16 = 0xFFFF;
+
+/// _mm512_reduce_add_ps with GCC's exact reduction tree (upper + lower 256,
+/// then upper + lower 128, then the {2,3,0,1} swap, then lanes 0 + 1), its
+/// 256-bit extracts in maskz form for the reason above.
+inline float reduce_add512(__m512 v) {
+  const __m512d vd = _mm512_castps_pd(v);
+  const __m256 t3 =
+      _mm256_add_ps(_mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, vd, 1)),
+                    _mm256_castpd_ps(_mm512_maskz_extractf64x4_pd(0xF, vd, 0)));
+  const __m128 t6 =
+      _mm_add_ps(_mm256_extractf128_ps(t3, 1), _mm256_extractf128_ps(t3, 0));
+  const __m128 t8 =
+      _mm_add_ps(t6, _mm_shuffle_ps(t6, t6, _MM_SHUFFLE(1, 0, 3, 2)));
+  return _mm_cvtss_f32(t8) + _mm_cvtss_f32(_mm_shuffle_ps(t8, t8, 1));
+}
+
+}  // namespace
+#endif  // METADSE_QUANT_AVX512
+
 const char* to_string(Precision p) {
   switch (p) {
     case Precision::kFp32: return "fp32";
@@ -108,11 +135,11 @@ void quantize_act_u8(const float* a, size_t M, size_t K, float scale,
     size_t k = 0;
     for (; k + 16 <= K; k += 16) {
       const __m512 x = _mm512_mul_ps(_mm512_loadu_ps(row + k), vinv);
-      __m512i q = _mm512_cvtps_epi32(x);
-      q = _mm512_add_epi32(_mm512_min_epi32(_mm512_max_epi32(q, vlo), vhi),
-                           voff);
+      __m512i q = _mm512_maskz_cvtps_epi32(kAll16, x);
+      q = _mm512_maskz_max_epi32(kAll16, q, vlo);
+      q = _mm512_add_epi32(_mm512_maskz_min_epi32(kAll16, q, vhi), voff);
       _mm_storeu_si128(reinterpret_cast<__m128i*>(qrow + k),
-                       _mm512_cvtepi32_epi8(q));
+                       _mm512_maskz_cvtepi32_epi8(kAll16, q));
     }
     for (; k < K; ++k) {
       const long q = std::lrintf(row[k] * inv);
@@ -159,11 +186,11 @@ inline __m512 vexp512(__m512 x) {
   const __m512 log2e = _mm512_set1_ps(1.442695040888963F);
   const __m512 ln2hi = _mm512_set1_ps(0.693359375F);
   const __m512 ln2lo = _mm512_set1_ps(-2.12194440e-4F);
-  x = _mm512_min_ps(_mm512_set1_ps(88.3762626647949F),
-                    _mm512_max_ps(_mm512_set1_ps(-87.3365478515625F), x));
-  const __m512 n = _mm512_roundscale_ps(_mm512_mul_ps(x, log2e),
-                                        _MM_FROUND_TO_NEAREST_INT |
-                                            _MM_FROUND_NO_EXC);
+  x = _mm512_maskz_max_ps(kAll16, _mm512_set1_ps(-87.3365478515625F), x);
+  x = _mm512_maskz_min_ps(kAll16, _mm512_set1_ps(88.3762626647949F), x);
+  const __m512 n = _mm512_maskz_roundscale_ps(
+      kAll16, _mm512_mul_ps(x, log2e),
+      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
   x = _mm512_fnmadd_ps(n, ln2hi, x);
   x = _mm512_fnmadd_ps(n, ln2lo, x);
   __m512 p = _mm512_set1_ps(1.9875691500e-4F);
@@ -175,16 +202,16 @@ inline __m512 vexp512(__m512 x) {
   const __m512 r =
       _mm512_add_ps(_mm512_fmadd_ps(p, _mm512_mul_ps(x, x), x),
                     _mm512_set1_ps(1.0F));
-  const __m512i ni = _mm512_cvtps_epi32(n);
-  const __m512i pow2 = _mm512_slli_epi32(
-      _mm512_add_epi32(ni, _mm512_set1_epi32(127)), 23);
+  const __m512i ni = _mm512_maskz_cvtps_epi32(kAll16, n);
+  const __m512i pow2 = _mm512_maskz_slli_epi32(
+      kAll16, _mm512_add_epi32(ni, _mm512_set1_epi32(127)), 23);
   return _mm512_mul_ps(r, _mm512_castsi512_ps(pow2));
 }
 
 /// 1/x via rcp14 plus one Newton-Raphson step (~0.5 ulp): vdivps has ~10x
 /// worse throughput and would dominate the GELU/softmax epilogues.
 inline __m512 vrecip512(__m512 x) {
-  const __m512 r = _mm512_rcp14_ps(x);
+  const __m512 r = _mm512_maskz_rcp14_ps(kAll16, x);
   return _mm512_fmadd_ps(_mm512_fnmadd_ps(x, r, _mm512_set1_ps(1.0F)), r, r);
 }
 
@@ -247,7 +274,7 @@ void layer_norm_affine_rows_fast(const float* x, const float* gamma,
       tail = static_cast<__mmask16>((1U << (n - j)) - 1U);
       vsum = _mm512_add_ps(vsum, _mm512_maskz_loadu_ps(tail, px + j));
     }
-    const float mu = _mm512_reduce_add_ps(vsum) * invn;
+    const float mu = reduce_add512(vsum) * invn;
     const __m512 vmu = _mm512_set1_ps(mu);
     __m512 vvar = _mm512_setzero_ps();
     for (j = 0; j + 16 <= n; j += 16) {
@@ -259,7 +286,7 @@ void layer_norm_affine_rows_fast(const float* x, const float* gamma,
                                                      tail, px + j), vmu);
       vvar = _mm512_fmadd_ps(d, d, vvar);
     }
-    const float var = _mm512_reduce_add_ps(vvar) * invn;
+    const float var = reduce_add512(vvar) * invn;
     const __m512 vis = _mm512_set1_ps(1.0F / std::sqrt(var + eps));
     for (j = 0; j + 16 <= n; j += 16) {
       const __m512 y = _mm512_mul_ps(
@@ -336,7 +363,7 @@ void fattn_lanes_group(size_t S, size_t Dh, size_t D, float inv_scale,
     float* er = et + s * kLaneW;
     for (int i = 0; i < MV; ++i) {
       acc[i] = _mm512_mul_ps(acc[i], vinv);
-      vmax[i] = _mm512_max_ps(vmax[i], acc[i]);
+      vmax[i] = _mm512_maskz_max_ps(kAll16, vmax[i], acc[i]);
       _mm512_store_ps(er + i * 16, acc[i]);
     }
   }
@@ -554,20 +581,20 @@ void gemm_u8s8(const uint8_t* aq, size_t ldq, const QuantizedWeight& w,
           reinterpret_cast<const void*>(w.col_comp.data() + n));
       const __m512 vdq = _mm512_set1_ps(dq);
       _mm512_storeu_ps(pr0 + n,
-                       _mm512_mul_ps(_mm512_cvtepi32_ps(
-                                         _mm512_sub_epi32(a0, comp)),
+                       _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(
+                                         kAll16, _mm512_sub_epi32(a0, comp)),
                                      vdq));
       _mm512_storeu_ps(pr0 + N + n,
-                       _mm512_mul_ps(_mm512_cvtepi32_ps(
-                                         _mm512_sub_epi32(a1, comp)),
+                       _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(
+                                         kAll16, _mm512_sub_epi32(a1, comp)),
                                      vdq));
       _mm512_storeu_ps(pr0 + 2 * N + n,
-                       _mm512_mul_ps(_mm512_cvtepi32_ps(
-                                         _mm512_sub_epi32(a2, comp)),
+                       _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(
+                                         kAll16, _mm512_sub_epi32(a2, comp)),
                                      vdq));
       _mm512_storeu_ps(pr0 + 3 * N + n,
-                       _mm512_mul_ps(_mm512_cvtepi32_ps(
-                                         _mm512_sub_epi32(a3, comp)),
+                       _mm512_mul_ps(_mm512_maskz_cvtepi32_ps(
+                                         kAll16, _mm512_sub_epi32(a3, comp)),
                                      vdq));
     }
     for (; n < N; ++n) {
@@ -613,7 +640,7 @@ void gemm_u8s8(const uint8_t* aq, size_t ldq, const QuantizedWeight& w,
       const __m512i comp = _mm512_loadu_si512(
           reinterpret_cast<const void*>(w.col_comp.data() + n));
       const __m512 deq = _mm512_mul_ps(
-          _mm512_cvtepi32_ps(_mm512_sub_epi32(acc, comp)),
+          _mm512_maskz_cvtepi32_ps(kAll16, _mm512_sub_epi32(acc, comp)),
           _mm512_set1_ps(dq));
       _mm512_storeu_ps(prow + n, deq);
     }
@@ -646,8 +673,9 @@ void gemm_bf16(const float* a, const Bf16Weight& w, const float* bias,
   // fp32 once and feeds four FMA chains. Every output element accumulates in
   // ascending-k order, so results are partition-independent.
   const auto widen = [](const uint16_t* p, __mmask16 mk16) {
-    return _mm512_castsi512_ps(_mm512_slli_epi32(
-        _mm512_cvtepu16_epi32(_mm256_maskz_loadu_epi16(mk16, p)), 16));
+    const __m512i wide = _mm512_maskz_cvtepu16_epi32(
+        kAll16, _mm256_maskz_loadu_epi16(mk16, p));
+    return _mm512_castsi512_ps(_mm512_maskz_slli_epi32(kAll16, wide, 16));
   };
   for (; m + 4 <= m1; m += 4) {
     const float* ar0 = a + m * K;

@@ -26,7 +26,10 @@ and prints a per-benchmark regression table. By default it is warn-only:
 shared runners are far too noisy to gate on, so a slowdown prints a WARN
 line and the exit code stays 0. Pass --fail-on-regress to turn any WARN
 into a nonzero exit — for quiet dedicated machines where a >15% slowdown
-is signal, not noise.
+is signal, not noise. A gate also needs to know what it compares: with
+--fail-on-regress the exit is nonzero as well when AFTER.json, or the --diff
+report, carries no host block (context.num_cpus), because a timing without
+its host cannot be judged against another.
 
 The headline figures are the single-point no-grad prediction speedup and the
 K-shot adapt_clone speedup over the seed; the CI smoke job only checks that
@@ -100,6 +103,19 @@ def load_times(path):
     return times, doc.get("context", {})
 
 
+def host_cpus(context):
+    """num_cpus of a host block: a google-benchmark context, or a report's
+    context.after (what this script writes). None when there is no block."""
+    if not isinstance(context, dict):
+        return None
+    if context.get("num_cpus"):
+        return context["num_cpus"]
+    after = context.get("after")
+    if isinstance(after, dict) and after.get("num_cpus"):
+        return after["num_cpus"]
+    return None
+
+
 def unmeasured(name, num_cpus):
     """Verdict for a /N thread arm wider than the host, else None."""
     threads = int(name.rsplit("/", 1)[1])
@@ -116,8 +132,9 @@ def main(argv=None):
                     help="committed BENCH_engine.json to diff against "
                          "(warn-only regression table)")
     ap.add_argument("--fail-on-regress", action="store_true",
-                    help="with --diff: exit nonzero when any benchmark is "
-                         f"more than {DIFF_WARN_RATIO}x slower than the "
+                    help="exit nonzero when the run or the --diff report has "
+                         "no host block, or (with --diff) when any benchmark "
+                         f"is more than {DIFF_WARN_RATIO}x slower than the "
                          "committed report")
     ap.add_argument("-o", "--output", default="BENCH_engine.json")
     args = ap.parse_args(argv)
@@ -126,11 +143,14 @@ def main(argv=None):
     if not after:
         sys.exit(f"{args.after}: no iteration benchmarks found")
     committed = None
+    committed_cpus = None
     if args.diff:
         # Load before writing --output: the two paths are usually the same
         # file (the committed report being regenerated).
         with open(args.diff) as f:
-            committed = json.load(f).get("benchmarks_ns", {})
+            committed_doc = json.load(f)
+        committed = committed_doc.get("benchmarks_ns", {})
+        committed_cpus = host_cpus(committed_doc.get("context"))
     before, before_context = ({}, {})
     if args.before:
         before, before_context = load_times(args.before)
@@ -237,9 +257,19 @@ def main(argv=None):
     if "headline" not in report and "headline_training" not in report:
         print(f"wrote {args.output} ({len(after)} benchmarks, no baseline)")
 
+    regressions = []
     if committed is not None:
         regressions = diff_report(after, committed, args.diff)
-        if args.fail_on_regress and regressions:
+    if args.fail_on_regress:
+        missing_host = []
+        if not host_cpus(context):
+            missing_host.append(args.after)
+        if args.diff and not committed_cpus:
+            missing_host.append(args.diff)
+        if missing_host:
+            sys.exit(f"--fail-on-regress: no host block (context.num_cpus) "
+                     f"in {', '.join(missing_host)}")
+        if regressions:
             sys.exit(f"--fail-on-regress: {len(regressions)} benchmark(s) "
                      f"slower than {DIFF_WARN_RATIO}x the committed report: "
                      f"{', '.join(regressions)}")
